@@ -65,7 +65,7 @@ GenResult generate_benchmark(const GenProfile& p) {
     }
 
     // ---- die -------------------------------------------------------------
-    MRLG_ASSERT(p.density > 0.0 && p.density < 0.96,
+    MRLG_ASSERT(p.density > 0.0 && p.density < GenProfile::kMaxDensity,
                 "density must be in (0, 0.96)");
     const double free_needed =
         static_cast<double>(cell_area) / p.density;

@@ -29,7 +29,10 @@ struct GenProfile {
     /// even-height (parity-constrained like doubles).
     std::size_t num_triple = 0;
     std::size_t num_quad = 0;
-    double density = 0.5;           ///< Movable area / free site area.
+    /// Exclusive upper bound on `density`: denser designs may not pack.
+    static constexpr double kMaxDensity = 0.96;
+    /// Movable area / free site area, in (0, kMaxDensity).
+    double density = 0.5;
     std::uint64_t seed = 1;
 
     // --- cell geometry (sites) ---------------------------------------------

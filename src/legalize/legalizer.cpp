@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "check/audit.hpp"
 #include "check/audit_plan.hpp"
@@ -209,7 +210,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     for (const CellId c : db.movable_cells()) {
         max_cell_width = std::max(max_cell_width, db.cell(c).width());
     }
-    // Ledger claims are clamped to the die: no cell or segment exists
+    // The schedule clamps footprints to the die: no cell or segment exists
     // outside it, so footprint slices out there cannot carry conflicts.
     const Rect die = db.floorplan().die();
     const Span die_x{die.x, static_cast<SiteCoord>(die.x + die.w)};
@@ -217,11 +218,10 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     // insertion points serially — fan-out lives at the cell level here.
     MllOptions plan_opts = mll_opts;
     plan_opts.num_threads = 1;
-    FootprintLedger ledger;
+    LevelSchedule schedule;
     std::vector<PlanTask> tasks;
-    std::vector<std::size_t> pending;
-    std::vector<std::size_t> batch;
-    std::vector<std::size_t> deferred;
+    std::vector<std::size_t> order;    // task indices by wave (order_by_wave)
+    std::vector<std::size_t> offsets;  // per-wave bounds into `order`
 
     // Re-emits the per-attempt mll.* counters a serial mll_place would
     // have produced for this (final) plan. The plan pass runs with the
@@ -258,9 +258,12 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
         const std::size_t points_before = stats.mll_points_evaluated;
         // Build the round's tasks in queue order. This draws the round's
         // jitter exactly as the serial loop would: two uniforms per cell,
-        // queue order, so the Rng stream stays bit-identical.
+        // queue order, so the Rng stream stays bit-identical. Each task's
+        // wave is fixed here, once its footprint is known.
         tasks.clear();
         tasks.reserve(queue.size());
+        schedule.reset(static_cast<std::size_t>(db.floorplan().num_rows()),
+                       die_x);
         for (const CellId c : queue) {
             const Cell& cell = db.cell(c);
             PlanTask t;
@@ -295,36 +298,31 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                 static_cast<SiteCoord>(2 * mll_opts.ry + cell.height())};
             t.footprint =
                 compute_attempt_footprint(window, t.fitted, max_cell_width);
+            t.wave = schedule.assign(t.footprint);
             tasks.push_back(std::move(t));
         }
-        pending.resize(tasks.size());
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-            pending[i] = i;
-        }
-        const std::size_t num_rows =
-            static_cast<std::size_t>(db.floorplan().num_rows());
+        order_by_wave(tasks, schedule.num_waves(), order, offsets);
 
-        while (!pending.empty()) {
+        for (std::size_t w = 1; w < offsets.size(); ++w) {
             MRLG_OBS_PHASE("wave");
             ++stats.waves;
             // Timeline keys: the global wave sequence number is the stable
-            // major key; slot/task come from the (deterministic) partition.
+            // major key; slot/task come from the (deterministic) schedule.
             const std::uint32_t wave_id =
                 static_cast<std::uint32_t>(stats.waves);
             obs::TimelineSpan wave_span(timeline, "wave", {wave_id, 0, 0});
+            std::span<const std::size_t> batch;
             {
                 MRLG_OBS_PHASE("partition");
                 obs::TimelineSpan partition_span(timeline, "partition",
                                                  {wave_id, 0, 0});
-                ledger.reset(num_rows, die_x);
-                partition_wave(tasks, pending, ledger, batch, deferred);
+                batch = std::span<const std::size_t>(order).subspan(
+                    offsets[w - 1], offsets[w] - offsets[w - 1]);
             }
-            stats.conflict_requeues += deferred.size();
+            // Tasks in later waves wait out this one.
+            stats.conflict_requeues += tasks.size() - offsets[w];
             MRLG_OBS_OBSERVE("legalize.batch_size",
                              static_cast<double>(batch.size()));
-            for (const std::size_t idx : batch) {
-                tasks[idx].state = PlanTask::State::kInBatch;
-            }
 
             {
                 MRLG_OBS_PHASE("plan");
@@ -369,7 +367,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
             }
 
             if (audit >= AuditLevel::kCheap) {
-                // The partition promised these footprints are pairwise
+                // The schedule promised these footprints are pairwise
                 // disjoint; re-derive that from scratch before trusting
                 // the plans (check/audit_plan.hpp).
                 std::vector<PlannedFootprint> fps;
@@ -385,7 +383,6 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                 MRLG_OBS_PHASE("commit");
                 obs::TimelineSpan commit_span(timeline, "commit",
                                               {wave_id, 0, 0});
-                std::size_t resolved = 0;
                 for (std::size_t slot = 0; slot < batch.size(); ++slot) {
                     const std::size_t idx = batch[slot];
                     obs::TimelineSpan commit_task_span(
@@ -395,34 +392,20 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                     PlanTask& t = tasks[idx];
                     const Cell& cell = db.cell(t.cell);
                     if (t.direct) {
-                        // Revalidate against the live grid (defensive:
-                        // batch disjointness makes staleness impossible).
-                        if (grid.placeable(db, t.fitted, CellId{},
-                                           cell.region())) {
-                            grid.place(db, t.cell, t.fitted.x, t.fitted.y);
-                            ++stats.direct_placements;
-                            t.state = PlanTask::State::kPlaced;
-                            ++resolved;
-                            audit_grid(AuditLevel::kFull);
-                        } else {
-                            t.state = PlanTask::State::kPending;
-                            ++stats.conflict_requeues;
-                            MRLG_OBS_COUNT("legalize.plan_invalidated", 1);
-                        }
+                        // The slot was free at wave start and the schedule
+                        // keeps other commits out of this footprint.
+                        MRLG_ASSERT(grid.placeable(db, t.fitted, CellId{},
+                                                   cell.region()),
+                                    "direct slot taken since planning");
+                        grid.place(db, t.cell, t.fitted.x, t.fitted.y);
+                        ++stats.direct_placements;
+                        t.placed = true;
+                        audit_grid(AuditLevel::kFull);
                         continue;
                     }
                     if (t.plan.success()) {
                         const MllResult r =
                             mll_commit(db, grid, t.cell, t.plan);
-                        if (r.status == MllStatus::kPlanInvalidated) {
-                            // Counters for this attempt stay unemitted —
-                            // the cell re-plans next wave and only the
-                            // final attempt is accounted, like serial.
-                            t.state = PlanTask::State::kPending;
-                            ++stats.conflict_requeues;
-                            MRLG_OBS_COUNT("legalize.plan_invalidated", 1);
-                            continue;
-                        }
                         emit_attempt_counters(t.plan);
                         stats.mll_points_evaluated += t.plan.num_points;
                         ++stats.mll_successes;
@@ -451,32 +434,15 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                             enforce(audit_plan_writes(task_footprint(t),
                                                       writes));
                         }
-                        t.state = PlanTask::State::kPlaced;
-                        ++resolved;
+                        t.placed = true;
                         audit_grid(AuditLevel::kFull);
                     } else {
                         emit_attempt_counters(t.plan);
                         stats.mll_points_evaluated += t.plan.num_points;
                         ++stats.mll_failures;
-                        t.state = PlanTask::State::kFailed;
-                        ++resolved;
                     }
                 }
-                MRLG_ASSERT(resolved > 0,
-                            "plan/commit wave made no progress");
             }
-
-            // Next wave: everything still pending (partition deferrals and
-            // the defensive invalidation requeues), in queue order.
-            std::vector<std::size_t> next;
-            for (std::size_t i = 0; i < tasks.size(); ++i) {
-                if (tasks[i].state == PlanTask::State::kPending) {
-                    next.push_back(i);
-                }
-            }
-            MRLG_ASSERT(next.size() < pending.size(),
-                        "plan/commit waves must shrink the pending queue");
-            pending = std::move(next);
         }
 
         // Round-level exactness: every insertion point the final plans
@@ -487,11 +453,8 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
             if (!t.direct) {
                 expected_points += t.plan.num_points;
             }
-            if (t.state == PlanTask::State::kFailed) {
+            if (!t.placed) {
                 still.push_back(t.cell);
-            } else {
-                MRLG_DCHECK(t.state == PlanTask::State::kPlaced,
-                            "round left a task unresolved");
             }
         }
         MRLG_ASSERT(stats.mll_points_evaluated ==

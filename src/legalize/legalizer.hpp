@@ -100,12 +100,14 @@ struct LegalizerStats {
     /// off); lets callers and tests confirm the hooks actually fired.
     std::size_t audits_run = 0;
     /// Plan/commit waves executed by the region-parallel pipeline (0 under
-    /// Pipeline::kSerial). A round with no footprint conflicts is one
-    /// wave; a fully-conflicting round degrades to one wave per cell.
+    /// Pipeline::kSerial): per pipelined round, the highest wave of the
+    /// round's level schedule (legalize/pipeline.hpp). A round with no
+    /// footprint conflicts is one wave; a fully-conflicting round degrades
+    /// to one wave per cell.
     std::size_t waves = 0;
-    /// Cells pushed to a later wave because their footprint overlapped an
-    /// earlier pending cell's claim (plus the — by construction
-    /// unreachable — commit-time invalidation requeues). Pipeline-health
+    /// Σ(wave − 1) over the cells of every pipelined round: each wave adds
+    /// the round's cells scheduled into later waves, because their
+    /// footprints share a bucket with an earlier cell's. Pipeline-health
     /// signal: high values mean the batches are thin and the round is
     /// effectively serial.
     std::size_t conflict_requeues = 0;

@@ -89,7 +89,7 @@ struct LocalRegionScratch {
 /// site units. Two attempts whose footprints are disjoint can be planned
 /// against the same frozen grid and committed in either order with
 /// identical results — the invariant behind the legalizer's region-parallel
-/// pipeline (see legalize/pipeline.hpp for the ledger that enforces it).
+/// pipeline (see legalize/pipeline.hpp for the schedule that enforces it).
 struct AttemptFootprint {
     Span rows;  ///< Absolute row range [lo, hi).
     Span x;     ///< Site range [lo, hi).

@@ -242,39 +242,22 @@ MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
     const Cell& target = db.cell(target_cell);
     MRLG_ASSERT(!target.placed(), "MLL commit target must be unplaced");
 
-    // Validation pass 1: every move base must still hold (a shifted base
-    // means another commit touched this plan's footprint).
-    bool stale = false;
+    // Every move base must still hold (a shifted base means another
+    // commit touched this plan's footprint) ...
     for (const MllPlan::Move& m : plan.moves) {
-        const Cell& c = db.cell(m.id);
-        if (!c.placed() || c.x() != m.old_x) {
-            stale = true;
-            break;
-        }
+        Cell& c = db.cell(m.id);
+        MRLG_ASSERT(c.placed() && c.x() == m.old_x,
+                    "stale MLL plan: a cell it shifts has moved");
+        c.set_x(m.new_x);
     }
-    if (!stale) {
-        // Apply the shifts, then validation pass 2: the target slot must
-        // be free. Shifts restore exactly on failure (set_x only).
-        for (const MllPlan::Move& m : plan.moves) {
-            db.cell(m.id).set_x(m.new_x);
-        }
-        const Rect slot{plan.x, plan.y, target.width(), target.height()};
-        if (grid.placeable(db, slot, CellId{}, target.region())) {
-            grid.place(db, target_cell, plan.x, plan.y);
-            MllResult res = mll_result_from_plan(plan);
-            MRLG_OBS_COUNT("mll.commits", 1);
-            MRLG_OBS_COUNT("mll.cells_shifted", res.moved.size());
-            return res;
-        }
-        for (const MllPlan::Move& m : plan.moves) {
-            db.cell(m.id).set_x(m.old_x);
-        }
-    }
-    MllResult res;
-    res.status = MllStatus::kPlanInvalidated;
-    res.num_points = plan.num_points;
-    res.num_local_cells = plan.num_local_cells;
-    res.enumeration_truncated = plan.enumeration_truncated;
+    // ... and after the shifts the target slot must be free.
+    const Rect slot{plan.x, plan.y, target.width(), target.height()};
+    MRLG_ASSERT(grid.placeable(db, slot, CellId{}, target.region()),
+                "stale MLL plan: target slot is taken");
+    grid.place(db, target_cell, plan.x, plan.y);
+    MllResult res = mll_result_from_plan(plan);
+    MRLG_OBS_COUNT("mll.commits", 1);
+    MRLG_OBS_COUNT("mll.cells_shifted", res.moved.size());
     return res;
 }
 
@@ -286,11 +269,7 @@ MllResult mll_place(Database& db, SegmentGrid& grid, CellId target_cell,
     if (!plan.success()) {
         return mll_result_from_plan(plan);
     }
-    MllResult res = mll_commit(db, grid, target_cell, plan);
-    // With no interleaved mutation a plan can never be stale.
-    MRLG_ASSERT(res.status != MllStatus::kPlanInvalidated,
-                "mll plan invalidated immediately after planning");
-    return res;
+    return mll_commit(db, grid, target_cell, plan);
 }
 
 void mll_undo(Database& db, SegmentGrid& grid, CellId target_cell,

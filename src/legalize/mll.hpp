@@ -65,12 +65,6 @@ enum class MllStatus {
     kSuccess,
     kNoInsertionPoint,  ///< Region extracted but no feasible point.
     kNoRegion,          ///< Window contains no usable rows.
-    /// Commit-time validation found the grid changed since the plan was
-    /// computed (stale move base or occupied target slot). Nothing was
-    /// modified; the caller re-plans from live state. Unreachable when
-    /// plans are confined to pairwise-disjoint footprints (the pipeline's
-    /// partition rule), so this is a defensive status, not a normal path.
-    kPlanInvalidated,
 };
 
 struct MllResult {
@@ -130,10 +124,12 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
                  CellId target_cell, double pref_x, double pref_y,
                  const MllOptions& opts = {}, MllScratch* scratch = nullptr);
 
-/// Applies a successful plan: validates it against the live grid (every
-/// move base unchanged, target slot placeable after the shifts), then
-/// shifts the moved cells and registers the target. On stale state nothing
-/// is modified and the result carries MllStatus::kPlanInvalidated.
+/// Applies a successful plan: shifts the moved cells and registers the
+/// target. The plan must still match the live grid — every move base
+/// unchanged and the target slot placeable after the shifts. A stale plan
+/// means a caller let another commit into this plan's footprint (the
+/// region-parallel schedule rules that out), so it throws AssertionError,
+/// possibly after applying some shifts.
 MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
                      const MllPlan& plan) MRLG_REQUIRES(grid_write_cap());
 

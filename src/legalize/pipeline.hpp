@@ -3,33 +3,45 @@
 /// Region-parallel plan/commit pipeline support for the legalizer.
 ///
 /// The legalizer's retry rounds process a pending-cell queue. In the
-/// region-parallel pipeline each round runs as a sequence of *waves*:
+/// region-parallel pipeline each round is level-scheduled into *waves*:
 ///
-///   1. partition — walk the queue in order; each cell claims its
-///      conservative AttemptFootprint in a FootprintLedger. A cell joins
-///      the wave's batch iff its footprint is disjoint from every claim
-///      made by *earlier* queue entries (batched or deferred); otherwise
-///      it defers to the next wave, keeping its queue position.
+///   1. schedule — while the round's tasks are built in queue order, each
+///      task gets its wave from a LevelSchedule: 1 + the highest wave
+///      among earlier tasks whose conservative AttemptFootprints share a
+///      bucket with its own (1 when none does) — the task's level in the
+///      conflict DAG. A stable counting sort by wave (order_by_wave) then
+///      lists every wave's batch in queue order. The per-wave "partition"
+///      step only takes the next batch off that list.
 ///   2. plan — the batch's MLL problems are solved concurrently, read-only
 ///      against the wave-start grid (mll_plan, per-thread scratch).
 ///   3. commit — plans are applied serially in queue order (mll_commit).
 ///
-/// Serial equivalence, by induction over the queue: a batched cell's
-/// footprint is disjoint from every earlier pending cell's claim, and a
-/// serial attempt only mutates state inside its own footprint (failed
-/// attempts mutate nothing), so the state a batched cell's plan reads
+/// Serial equivalence, by induction over the waves: every earlier task
+/// whose footprint shares a bucket with task t sits in an earlier wave, so
+/// it has committed before t plans; every later such task sits in a later
+/// wave, so it has not. A serial attempt only mutates state inside its own
+/// footprint (failed attempts mutate nothing), so the state t's plan reads
 /// equals the state its serial turn would have seen, and its commit writes
-/// exactly what the serial attempt would have written. Deferred cells
-/// re-enter the next wave against a grid identical to their serial-turn
-/// state for the same reason. The outcome is therefore bit-identical to
-/// the one-cell-at-a-time loop at every thread count — including the
-/// degenerate dense case where every footprint conflicts and each wave
-/// batches exactly one cell (serial order, serial speed).
+/// exactly what the serial attempt would have written. Tasks of one wave
+/// are pairwise bucket-disjoint, so their concurrent plans read a frozen
+/// grid. The outcome is therefore bit-identical to the one-cell-at-a-time
+/// loop at every thread count — including the degenerate dense case where
+/// every footprint conflicts and each wave holds exactly one cell (serial
+/// order, serial speed). A plan that is stale at commit is a broken proof,
+/// not a retry: mll_commit asserts it (so does the direct-slot commit),
+/// and audit_plan_batch / audit_plan_writes re-check both halves of the
+/// argument when auditing is on.
 ///
-/// Determinism contract: the partition walks the queue in index order and
-/// the ledger is a fixed-layout bitmap — nothing here may iterate an
-/// unordered container or depend on thread scheduling
-/// (tools/lint_determinism.py pins this file down).
+/// The wave a task gets is the one a greedy per-wave partition would pick
+/// — batch a pending task iff it shares no bucket with any earlier pending
+/// task — since footprints are fixed when the round's tasks are built.
+/// Hence `waves` per round is the highest level, and the tasks a wave
+/// leaves for later waves sum to Σ(wave − 1) over the round's tasks.
+///
+/// Determinism contract: the schedule is a pure function of the queue
+/// order and the footprints, kept in a fixed-layout array — nothing here
+/// may iterate an unordered container or depend on thread scheduling
+/// (`tools/mrlg_lint.py determinism` pins this file down).
 
 #include <cstdint>
 #include <vector>
@@ -39,42 +51,40 @@
 
 namespace mrlg {
 
-/// Bitmask ledger of claimed footprints: per die row, one bit per
-/// kBucketSites-wide x bucket. Claims round *outward* to bucket
-/// boundaries, so the ledger is conservative — it may report a conflict
-/// for footprints up to kBucketSites-1 sites apart, which only defers a
-/// cell by a wave, never lets a real overlap through. The payoff is that
-/// conflict tests and claims are a handful of word-wide AND/OR operations;
-/// the partition runs once per wave over every pending cell, so per-claim
-/// cost dominates the pipeline's serial overhead.
-class FootprintLedger {
+/// Per die row, the highest wave assigned so far to a footprint touching
+/// each kBucketSites-wide x bucket. Footprints round *outward* to bucket
+/// boundaries, so sharing a bucket is conservative — footprints up to
+/// kBucketSites-1 sites apart may share one, which only delays a cell by a
+/// wave, never lets a real overlap through.
+class LevelSchedule {
 public:
-    /// Sites per conflict bucket (power of two; one bit per bucket).
+    /// Sites per conflict bucket.
     static constexpr SiteCoord kBucketSites = 8;
 
-    /// Prepares the ledger for `num_rows` die rows spanning `x_extent`
-    /// sites. Claims are clamped to the die on both axes: a footprint
-    /// slice outside the rows or the x extent can hold no cell or segment,
-    /// so two footprints overlapping only out there cannot interact.
+    /// Starts a round on `num_rows` die rows spanning `x_extent` sites.
+    /// Footprints are clamped to the die on both axes: a footprint slice
+    /// outside the rows or the x extent can hold no cell or segment, so
+    /// two footprints overlapping only out there cannot interact.
     void reset(std::size_t num_rows, Span x_extent);
 
-    /// True when `fp` overlaps any claimed footprint (bucket-conservative).
-    bool conflicts(const AttemptFootprint& fp) const;
+    /// Assigns the wave (1-based) of the next task in queue order, whose
+    /// footprint is `fp`: 1 + the highest wave of every earlier footprint
+    /// sharing a bucket with `fp`.
+    std::uint32_t assign(const AttemptFootprint& fp);
 
-    /// Claims `fp`. Claimed even for deferred cells — later queue entries
-    /// must yield to earlier ones regardless of whether those made it into
-    /// the batch.
-    void claim(const AttemptFootprint& fp);
+    /// Highest wave assigned since reset (0 when none).
+    std::uint32_t num_waves() const { return num_waves_; }
 
 private:
     Span x_extent_{0, 0};
     std::size_t num_rows_ = 0;
-    std::size_t words_per_row_ = 0;
-    /// Row-major bucket bitmap, words_per_row_ words per row.
-    std::vector<std::uint64_t> bits_;
+    std::size_t buckets_per_row_ = 0;
+    std::uint32_t num_waves_ = 0;
+    /// Row-major, buckets_per_row_ entries per row.
+    std::vector<std::uint32_t> last_wave_;
 };
 
-/// One pending cell's state across the waves of a round.
+/// One pending cell's state in a round.
 struct PlanTask {
     CellId cell;
     double px = 0.0;  ///< Preferred x for this round (gp + jitter).
@@ -82,28 +92,19 @@ struct PlanTask {
     Rect fitted;      ///< nearest_aligned_position slot for (px, py).
     bool rail_ok = false;  ///< fitted row passes the rail-parity check.
     AttemptFootprint footprint;
-
-    enum class State {
-        kPending,   ///< Waiting for a wave.
-        kInBatch,   ///< Selected by the current wave's partition.
-        kPlaced,    ///< Committed (direct or MLL).
-        kFailed,    ///< MLL failed this round; retry next round.
-    };
-    State state = State::kPending;
+    std::uint32_t wave = 0;  ///< LevelSchedule::assign result (1-based).
 
     /// Plan-phase result (filled by the wave's parallel plan pass).
     bool direct = false;  ///< fitted slot was free; no MLL plan needed.
     MllPlan plan;
+    bool placed = false;  ///< Committed (direct or MLL); else retry.
 };
 
-/// Deterministic greedy interval-conflict partition: appends to `batch`
-/// the indices (into `tasks`) of `pending` entries whose footprints are
-/// pairwise disjoint *and* disjoint from every earlier pending claim, and
-/// to `deferred` the rest, both in `pending` order. `ledger` must be
-/// reset by the caller; on return it holds every pending claim.
-void partition_wave(const std::vector<PlanTask>& tasks,
-                    const std::vector<std::size_t>& pending,
-                    FootprintLedger& ledger, std::vector<std::size_t>& batch,
-                    std::vector<std::size_t>& deferred);
+/// Stable counting sort of the indices of `tasks` by wave (`num_waves` is
+/// the highest): on return wave w's batch is `order[offsets[w - 1],
+/// offsets[w])`, in queue order, and `offsets` has num_waves + 1 entries.
+void order_by_wave(const std::vector<PlanTask>& tasks, std::uint32_t num_waves,
+                   std::vector<std::size_t>& order,
+                   std::vector<std::size_t>& offsets);
 
 }  // namespace mrlg

@@ -1,6 +1,7 @@
 #include "util/str.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace mrlg {
@@ -10,7 +11,28 @@ bool is_ws(char c) {
     return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\f' ||
            c == '\v';
 }
+
+/// std::from_chars over all of `s`; `out` changes only on success.
+template <typename T>
+bool parse_whole(std::string_view s, T& out) {
+    T v{};
+    const char* const end = s.data() + s.size();
+    const auto [stop, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc{} || stop != end) {
+        return false;
+    }
+    out = v;
+    return true;
+}
 }  // namespace
+
+bool parse_count(std::string_view s, std::size_t& out) {
+    return parse_whole(s, out);
+}
+
+bool parse_double(std::string_view s, double& out) {
+    return parse_whole(s, out);
+}
 
 std::string_view trim(std::string_view s) {
     std::size_t b = 0;

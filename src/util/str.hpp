@@ -23,6 +23,14 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// Case-insensitive equality (ASCII).
 bool iequals(std::string_view a, std::string_view b);
 
+/// Parses all of `s` as a non-negative decimal integer. False on an empty
+/// string, a sign, trailing characters or overflow; `out` is then unchanged.
+bool parse_count(std::string_view s, std::size_t& out);
+
+/// Parses all of `s` as a decimal floating-point number. False on an empty
+/// string or trailing characters; `out` is then unchanged.
+bool parse_double(std::string_view s, double& out);
+
 /// Format a double with `digits` decimals (locale-independent).
 std::string format_fixed(double value, int digits);
 

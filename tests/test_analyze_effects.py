@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Fixture tests for the phase-effect analyzer (tools/analyze_effects.py
-/ tools/mrlg_lint.py effects).
+"""Fixture tests for the phase-effect analyzer (tools/mrlg_lint.py
+effects).
 
 Each known-bad TU under tests/lint_fixtures/ seeds one violation class
 the analyzer exists to catch; the known-good TU seeds none. The analyzer

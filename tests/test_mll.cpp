@@ -96,6 +96,37 @@ TEST(Mll, PlacedTargetAsserts) {
     EXPECT_THROW(mll_place(db, grid, t, 10.0, 0.0), AssertionError);
 }
 
+TEST(Mll, StaleCommitAsserts) {
+    // One row, packed around the preferred spot: the plan must shift cells.
+    Database db = empty_design(1, 24);
+    SegmentGrid grid = SegmentGrid::build(db);
+    add_placed(db, grid, "a", 4, 0, 4, 1);
+    add_placed(db, grid, "b", 8, 0, 4, 1);
+    add_placed(db, grid, "c", 12, 0, 4, 1);
+    const CellId t = add_unplaced(db, "t", 8.0, 0.0, 4, 1);
+    const MllPlan plan = mll_plan(db, grid, t, 8.0, 0.0);
+    ASSERT_TRUE(plan.success());
+    ASSERT_FALSE(plan.moves.empty());
+    // Move one of the shifted cells after planning: the plan is stale, and
+    // committing it is a caller bug, not a status.
+    const CellId moved = plan.moves.front().id;
+    const SiteCoord away = db.cell(moved).x() < 8 ? 0 : 20;
+    grid.remove(db, moved);
+    grid.place(db, moved, away, 0);
+    EXPECT_THROW(mll_commit(db, grid, t, plan), AssertionError);
+}
+
+TEST(Mll, CommitIntoTakenSlotAsserts) {
+    Database db = empty_design(1, 24);
+    SegmentGrid grid = SegmentGrid::build(db);
+    const CellId t = add_unplaced(db, "t", 8.0, 0.0, 4, 1);
+    const MllPlan plan = mll_plan(db, grid, t, 8.0, 0.0);
+    ASSERT_TRUE(plan.success());
+    ASSERT_TRUE(plan.moves.empty());
+    add_placed(db, grid, "late", plan.x, plan.y, 4, 1);
+    EXPECT_THROW(mll_commit(db, grid, t, plan), AssertionError);
+}
+
 TEST(Mll, Figure5Scenario) {
     // The paper's running example (Fig. 5): a 3x2 target inserted into a
     // 4-row local region with cells a, b, c, d, e. We reproduce the

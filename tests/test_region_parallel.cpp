@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "eval/legality.hpp"
@@ -16,6 +18,7 @@
 #include "obs/timeline.hpp"
 #include "qa/generators.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace mrlg::test {
 namespace {
@@ -50,7 +53,7 @@ TEST(AttemptFootprint, OverlapNeedsBothAxes) {
 }
 
 // ---------------------------------------------------------------------------
-// Ledger / partition unit tests.
+// Level-schedule unit tests.
 
 AttemptFootprint fp(SiteCoord row_lo, SiteCoord row_hi, SiteCoord x_lo,
                     SiteCoord x_hi) {
@@ -60,47 +63,155 @@ AttemptFootprint fp(SiteCoord row_lo, SiteCoord row_hi, SiteCoord x_lo,
     return f;
 }
 
-TEST(FootprintLedger, ClaimAndConflict) {
-    FootprintLedger ledger;
-    ledger.reset(8, Span{0, 1024});
-    EXPECT_FALSE(ledger.conflicts(fp(0, 2, 16, 30)));
-    ledger.claim(fp(0, 2, 16, 30));
-    EXPECT_TRUE(ledger.conflicts(fp(1, 3, 24, 48)));   // real overlap
-    EXPECT_FALSE(ledger.conflicts(fp(2, 4, 24, 48)));  // rows disjoint
-    // The ledger is bucket-conservative (kBucketSites granularity): a
-    // footprint sharing a bucket with a claim conflicts even when the
-    // exact spans only touch. That defers a cell by a wave; never wrong.
-    EXPECT_TRUE(ledger.conflicts(fp(0, 2, 30, 48)));
-    // From the next bucket boundary onward it is clean again.
-    EXPECT_FALSE(ledger.conflicts(fp(0, 2, 32, 48)));
-    // Spans straddling word boundaries (bucket 64 = word 1) still track.
-    ledger.claim(fp(4, 6, 500, 560));
-    EXPECT_TRUE(ledger.conflicts(fp(5, 6, 520, 530)));
-    EXPECT_FALSE(ledger.conflicts(fp(4, 6, 320, 420)));
-    // Rows and x outside the die are clamped away, not tracked.
-    ledger.claim(fp(-3, 0, 0, 16));
-    EXPECT_FALSE(ledger.conflicts(fp(0, 1, 0, 16)));
-    ledger.claim(fp(6, 8, -200, 0));
-    EXPECT_FALSE(ledger.conflicts(fp(6, 8, 0, 40)));
+/// Wave of `second` when `first` is the only earlier task, on an 8-row die
+/// spanning `x_extent`.
+std::uint32_t wave_behind(const AttemptFootprint& first,
+                          const AttemptFootprint& second,
+                          Span x_extent = Span{0, 1024}) {
+    LevelSchedule schedule;
+    schedule.reset(8, x_extent);
+    EXPECT_EQ(schedule.assign(first), 1u);
+    return schedule.assign(second);
 }
 
-TEST(PartitionWave, EarlierClaimsWinDeferredKeepOrder) {
+TEST(LevelSchedule, BucketConservativeAndDieClamped) {
+    const AttemptFootprint claim = fp(0, 2, 16, 30);
+    EXPECT_EQ(wave_behind(claim, fp(1, 3, 24, 48)), 2u);  // real overlap
+    EXPECT_EQ(wave_behind(claim, fp(2, 4, 24, 48)), 1u);  // rows disjoint
+    // Buckets are kBucketSites wide and footprints round outward: one
+    // sharing a bucket with an earlier one waits a wave even when the
+    // exact spans only touch. That delays a cell by a wave; never wrong.
+    EXPECT_EQ(wave_behind(claim, fp(0, 2, 30, 48)), 2u);
+    // From the next bucket boundary onward it is clean again.
+    EXPECT_EQ(wave_behind(claim, fp(0, 2, 32, 48)), 1u);
+    EXPECT_EQ(wave_behind(fp(4, 6, 500, 560), fp(5, 6, 520, 530)), 2u);
+    EXPECT_EQ(wave_behind(fp(4, 6, 500, 560), fp(4, 6, 320, 420)), 1u);
+    // Buckets start at the die's x origin, not at site 0.
+    EXPECT_EQ(wave_behind(fp(0, 1, 100, 108), fp(0, 1, 108, 116),
+                          Span{100, 200}),
+              1u);
+    EXPECT_EQ(wave_behind(fp(0, 1, 100, 108), fp(0, 1, 107, 116),
+                          Span{100, 200}),
+              2u);
+    // Rows and x outside the die are clamped away, not tracked.
+    EXPECT_EQ(wave_behind(fp(-3, 0, 0, 16), fp(0, 1, 0, 16)), 1u);
+    EXPECT_EQ(wave_behind(fp(8, 10, 0, 16), fp(7, 8, 0, 16)), 1u);
+    EXPECT_EQ(wave_behind(fp(6, 8, -200, 0), fp(6, 8, 0, 40)), 1u);
+    EXPECT_EQ(wave_behind(fp(6, 8, 1024, 1100), fp(6, 8, 1000, 1024)), 1u);
+    EXPECT_EQ(wave_behind(fp(6, 8, -200, 0), fp(6, 8, -100, 0)), 1u);
+}
+
+TEST(LevelSchedule, LaterWaveTaskStillBlocksLaterTasks) {
     std::vector<PlanTask> tasks(4);
     tasks[0].footprint = fp(0, 2, 0, 10);
-    tasks[1].footprint = fp(0, 2, 5, 15);    // conflicts with 0 → defer
-    tasks[2].footprint = fp(0, 2, 12, 20);   // conflicts with 1's *claim*
-    tasks[3].footprint = fp(4, 6, 0, 10);    // independent rows → batch
-    const std::vector<std::size_t> pending{0, 1, 2, 3};
-    FootprintLedger ledger;
-    ledger.reset(8, Span{0, 256});
-    std::vector<std::size_t> batch;
-    std::vector<std::size_t> deferred;
-    partition_wave(tasks, pending, ledger, batch, deferred);
-    EXPECT_EQ(batch, (std::vector<std::size_t>{0, 3}));
-    // Task 2 defers because the *deferred* task 1 claimed its interval —
-    // the serial-equivalence rule: later cells yield to every earlier
-    // pending cell, batched or not.
-    EXPECT_EQ(deferred, (std::vector<std::size_t>{1, 2}));
+    tasks[1].footprint = fp(0, 2, 5, 15);   // shares buckets with 0
+    tasks[2].footprint = fp(0, 2, 12, 20);  // shares bucket 1 with 0 and 1
+    tasks[3].footprint = fp(4, 6, 0, 10);   // independent rows
+    LevelSchedule schedule;
+    schedule.reset(8, Span{0, 256});
+    for (PlanTask& t : tasks) {
+        t.wave = schedule.assign(t.footprint);
+    }
+    // Task 2 lands in wave 3, not 2: task 1, itself waiting for wave 2,
+    // still blocks it — the serial-equivalence rule: later cells yield to
+    // every earlier cell they touch, whichever wave that cell is in.
+    EXPECT_EQ(tasks[0].wave, 1u);
+    EXPECT_EQ(tasks[1].wave, 2u);
+    EXPECT_EQ(tasks[2].wave, 3u);
+    EXPECT_EQ(tasks[3].wave, 1u);
+    EXPECT_EQ(schedule.num_waves(), 3u);
+
+    std::vector<std::size_t> order;
+    std::vector<std::size_t> offsets;
+    order_by_wave(tasks, schedule.num_waves(), order, offsets);
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 3, 1, 2}));
+    EXPECT_EQ(offsets, (std::vector<std::size_t>{0, 2, 3, 4}));
+}
+
+/// Independent restatement of the schedule's conflict rule: clamp both
+/// footprints to the die, round x outward to buckets counted from the die's
+/// x origin, and test the resulting row × bucket boxes for overlap.
+bool share_bucket(const AttemptFootprint& a, const AttemptFootprint& b,
+                  SiteCoord num_rows, Span x_extent) {
+    const SiteCoord k = LevelSchedule::kBucketSites;
+    auto box = [&](const AttemptFootprint& f, Span& rows, Span& buckets) {
+        rows = Span{std::max<SiteCoord>(f.rows.lo, 0),
+                    std::min(f.rows.hi, num_rows)};
+        const SiteCoord x_lo = std::max(f.x.lo, x_extent.lo);
+        const SiteCoord x_hi = std::min(f.x.hi, x_extent.hi);
+        buckets = Span{(x_lo - x_extent.lo) / k,
+                       (x_hi - x_extent.lo + k - 1) / k};
+        return !rows.empty() && x_lo < x_hi;
+    };
+    Span ra, ba, rb, bb;
+    return box(a, ra, ba) && box(b, rb, bb) && ra.overlaps(rb) &&
+           ba.overlaps(bb);
+}
+
+TEST(LevelSchedule, RandomFootprintsMatchGreedyPartition) {
+    // The waves must be exactly those of a greedy per-wave partition that
+    // batches a pending task iff it shares no bucket with any earlier
+    // pending task. Characterised per task t in wave L:
+    //   (1) tasks of one wave are pairwise bucket-disjoint;
+    //   (2) if L > 1, some earlier task in wave L-1 shares a bucket with t;
+    //   (3) no earlier task in a wave >= L shares a bucket with t.
+    std::uint32_t deepest = 0;
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+        Rng rng(seed);
+        const auto num_rows = static_cast<SiteCoord>(rng.uniform(1, 12));
+        const auto x_lo = static_cast<SiteCoord>(rng.uniform(-20, 20));
+        const Span die_x{x_lo,
+                         static_cast<SiteCoord>(x_lo + rng.uniform(1, 300))};
+        std::vector<PlanTask> tasks(150);
+        LevelSchedule schedule;
+        schedule.reset(static_cast<std::size_t>(num_rows), die_x);
+        for (PlanTask& t : tasks) {
+            const auto r = static_cast<SiteCoord>(rng.uniform(-3, num_rows));
+            const auto x = static_cast<SiteCoord>(
+                rng.uniform(die_x.lo - 30, die_x.hi + 10));
+            t.footprint = fp(r, static_cast<SiteCoord>(r + rng.uniform(0, 6)),
+                             x, static_cast<SiteCoord>(x + rng.uniform(0, 60)));
+            t.wave = schedule.assign(t.footprint);
+        }
+        std::uint32_t highest = 0;
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            const std::uint32_t level = tasks[i].wave;
+            ASSERT_GE(level, 1u);
+            highest = std::max(highest, level);
+            bool fed_by_previous_wave = false;
+            for (std::size_t j = 0; j < i; ++j) {
+                if (!share_bucket(tasks[j].footprint, tasks[i].footprint,
+                                  num_rows, die_x)) {
+                    continue;
+                }
+                EXPECT_LT(tasks[j].wave, level)  // (1) and (3)
+                    << "seed " << seed << " tasks " << j << "," << i;
+                fed_by_previous_wave |= tasks[j].wave + 1 == level;
+            }
+            EXPECT_EQ(fed_by_previous_wave, level > 1)  // (2)
+                << "seed " << seed << " task " << i;
+        }
+        EXPECT_EQ(schedule.num_waves(), highest);
+        deepest = std::max(deepest, highest);
+
+        // order_by_wave is a stable sort by wave.
+        std::vector<std::size_t> order;
+        std::vector<std::size_t> offsets;
+        order_by_wave(tasks, schedule.num_waves(), order, offsets);
+        ASSERT_EQ(offsets.size(), static_cast<std::size_t>(highest) + 1);
+        EXPECT_EQ(offsets.front(), 0u);
+        EXPECT_EQ(offsets.back(), tasks.size());
+        for (std::size_t w = 1; w < offsets.size(); ++w) {
+            for (std::size_t k = offsets[w - 1]; k < offsets[w]; ++k) {
+                EXPECT_EQ(tasks[order[k]].wave, w);
+                if (k > offsets[w - 1]) {
+                    EXPECT_LT(order[k - 1], order[k]);
+                }
+            }
+        }
+    }
+    // The generator must actually build deep conflict chains.
+    EXPECT_GE(deepest, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,7 +349,7 @@ TEST(RegionParallel, SaturatedDesignsDegradeGracefully) {
             total_requeues += rp.stats.conflict_requeues;
         }
     }
-    // At ~90% density the partition must actually be deferring work.
+    // At ~90% density the schedule must actually spread cells over waves.
     EXPECT_GT(total_requeues, 0u);
 }
 

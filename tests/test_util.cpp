@@ -218,6 +218,32 @@ TEST(Str, FormatFixed) {
     EXPECT_EQ(format_fixed(-0.5, 1), "-0.5");
 }
 
+TEST(Str, ParseCountWholeStringOnly) {
+    std::size_t n = 7;
+    EXPECT_TRUE(parse_count("0", n));
+    EXPECT_EQ(n, 0u);
+    EXPECT_TRUE(parse_count("2200", n));
+    EXPECT_EQ(n, 2200u);
+    // A negative count must not wrap to 2^64 - 5; junk must not truncate.
+    for (const char* bad : {"-5", "+5", "", "12x", " 3", "3 ", "1.5",
+                            "18446744073709551616"}) {
+        EXPECT_FALSE(parse_count(bad, n)) << bad;
+        EXPECT_EQ(n, 2200u) << bad;
+    }
+}
+
+TEST(Str, ParseDoubleWholeStringOnly) {
+    double d = 0.0;
+    EXPECT_TRUE(parse_double("0.97", d));
+    EXPECT_DOUBLE_EQ(d, 0.97);
+    EXPECT_TRUE(parse_double("-1e-3", d));
+    EXPECT_DOUBLE_EQ(d, -1e-3);
+    for (const char* bad : {"", "abc", "0.5x", " 0.5", "0.5 "}) {
+        EXPECT_FALSE(parse_double(bad, d)) << bad;
+        EXPECT_DOUBLE_EQ(d, -1e-3) << bad;
+    }
+}
+
 // ---------------- table ----------------
 
 TEST(Table, AlignsAndPrints) {

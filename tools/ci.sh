@@ -23,6 +23,10 @@
 #   8b. Scheduling profile: mrlg_profile thread-sweep on the small
 #      parallel design; its bottleneck report must name a top limiter and
 #      its Perfetto trace must pass tools/validate_trace.py.
+#   8c. Benchmark self-test: mrlg_bench/self_test.py runs every
+#      BENCHMARK.json workload at a tiny scale, so a change to the phase
+#      tree or the stats the benchmark reads fails here, not on the next
+#      benchmark run.
 #   9. Coverage: gcovr over a --coverage build running the fast unit
 #      tier (ctest -L unit); SKIPped when gcovr is not installed.
 #
@@ -195,6 +199,12 @@ profile_stage() {
         python3 tools/validate_trace.py build/profile_ci_trace.json
 }
 run_stage "scheduling profile + Perfetto trace validation" profile_stage
+
+# --------------------------------------------------------------- stage 8c
+bench_self_test_stage() {
+    python3 mrlg_bench/self_test.py
+}
+run_stage "mrlg-bench self-test" bench_self_test_stage
 
 # ---------------------------------------------------------------- stage 9
 if command -v gcovr >/dev/null 2>&1; then

@@ -13,7 +13,8 @@
 ///     --gen             audit a synthetic benchmark instead of a file
 ///     --singles N       generator: single-row cells   (default 2000)
 ///     --doubles N       generator: double-row cells   (default 200)
-///     --density D       generator: target density     (default 0.6)
+///     --density D       generator: target density in (0, 0.96)
+///                       (default 0.6)
 ///     --seed S          generator: rng seed           (default 1)
 ///     --legalize        run the legalizer first, hooks at --level
 ///     --relaxed         drop the power-rail parity constraint
@@ -32,6 +33,7 @@
 #include "io/lefdef.hpp"
 #include "legalize/legalizer.hpp"
 #include "obs/run_report.hpp"
+#include "util/str.hpp"
 
 using namespace mrlg;
 
@@ -55,6 +57,24 @@ bool has_flag(int argc, char** argv, const char* key) {
     return false;
 }
 
+/// Reads --singles, --doubles (non-negative integers) and --density (in
+/// the generator's (0, kMaxDensity)) into `p`; false on a bad value.
+bool gen_flags_ok(int argc, char** argv, GenProfile& p) {
+    const char* s = find_arg(argc, argv, "--singles");
+    if (s != nullptr && !parse_count(s, p.num_single)) {
+        return false;
+    }
+    s = find_arg(argc, argv, "--doubles");
+    if (s != nullptr && !parse_count(s, p.num_double)) {
+        return false;
+    }
+    s = find_arg(argc, argv, "--density");
+    if (s != nullptr && !parse_double(s, p.density)) {
+        return false;
+    }
+    return p.density > 0.0 && p.density < GenProfile::kMaxDensity;
+}
+
 int usage() {
     std::cerr << "usage: mrlg_audit <design.aux> | --lef L --def D | --gen\n"
                  "       [--singles N] [--doubles N] [--density D] [--seed S]\n"
@@ -72,14 +92,8 @@ int main(int argc, char** argv) {
     if (has_flag(argc, argv, "--gen")) {
         GenProfile p;
         p.name = "audit-gen";
-        if (const char* s = find_arg(argc, argv, "--singles")) {
-            p.num_single = static_cast<std::size_t>(std::atol(s));
-        }
-        if (const char* s = find_arg(argc, argv, "--doubles")) {
-            p.num_double = static_cast<std::size_t>(std::atol(s));
-        }
-        if (const char* s = find_arg(argc, argv, "--density")) {
-            p.density = std::atof(s);
+        if (!gen_flags_ok(argc, argv, p)) {
+            return usage();
         }
         if (const char* s = find_arg(argc, argv, "--seed")) {
             p.seed = static_cast<std::uint64_t>(std::atoll(s));
