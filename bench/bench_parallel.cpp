@@ -2,10 +2,13 @@
 /// For each synthesized design and evaluation mode, legalizes the same
 /// global placement at 1/2/4/8 threads under both parallelization series:
 ///
-///   intra_window    — Pipeline::kSerial: one cell at a time, parallelism
-///                     only inside each MLL's insertion-point scan;
-///   region_parallel — the plan/commit pipeline over disjoint local-region
-///                     footprints (legalize/pipeline.hpp, the default).
+///   intra_window    — Pipeline::kSerial: one cell per plan/commit wave,
+///                     parallelism only inside each MLL's threaded
+///                     insertion-point scan;
+///   region_parallel — plan/commit waves batching cells with disjoint
+///                     local-region footprints (legalize/pipeline.hpp, the
+///                     default); fallback/rip-up rounds still run one cell
+///                     per wave.
 ///
 /// Every run is verified bit-identical to the serial baseline of its
 /// series AND to the other series (the pipeline's serial-equivalence

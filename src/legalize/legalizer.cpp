@@ -72,6 +72,8 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     Timer timer;
     LegalizerStats stats;
     Rng rng(opts.seed);
+    MRLG_ASSERT(opts.mll.rx >= 0 && opts.mll.ry >= 0,
+                "MLL window radii must be non-negative");
 
     // Wall-clock execution timeline (two-tracer model, obs/timeline.hpp):
     // hoisted once so worker lambdas receive the pointer by capture and
@@ -88,7 +90,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     if (mll_opts.audit < opts.audit) {
         mll_opts.audit = opts.audit;
     }
-    MllScratch scratch;  // reused by every MLL attempt of this run
+    MllScratch scratch;  // reused by every rip-up transaction of this run
 
     // Invariant-audit hook (MRLG_VALIDATE / LegalizerOptions::audit):
     // structural grid audit at phase boundaries, and after every commit
@@ -149,60 +151,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
         audit_grid(AuditLevel::kCheap);  // post-setup pre-condition
     }
 
-    auto try_place = [&](CellId c, double px, double py,
-                         bool allow_fallback, bool allow_ripup) -> bool {
-        assert_grid_write_cap();  // serial path of the enclosing scope
-        const Point p =
-            nearest_aligned_position(db, c, px, py, mll_opts.check_rail);
-        const Cell& cell = db.cell(c);
-        const Rect fitted{p.x, p.y, cell.width(), cell.height()};
-        if ((!mll_opts.check_rail ||
-             rail_compatible(p.y, cell.height(), cell.rail_phase())) &&
-            grid.placeable(db, fitted, CellId{}, cell.region())) {
-            grid.place(db, c, p.x, p.y);
-            ++stats.direct_placements;
-            audit_grid(AuditLevel::kFull);
-            return true;
-        }
-        const MllResult r =
-            mll_place(db, grid, c, px, py, mll_opts, &scratch);
-        stats.mll_points_evaluated += r.num_points;
-        if (r.success()) {
-            ++stats.mll_successes;
-            MRLG_OBS_OBSERVE("legalize.mll_real_cost_um", r.real_cost_um);
-            audit_grid(AuditLevel::kFull);  // post-realization/commit
-            return true;
-        }
-        ++stats.mll_failures;
-        if (allow_fallback) {
-            // Deterministic tail handling: snap to the nearest free slot
-            // around the *original* gp position (not the jittered one).
-            const auto slot = find_nearest_free_position(
-                db, grid, c, cell.gp_x(), cell.gp_y(),
-                mll_opts.check_rail);
-            if (slot) {
-                grid.place(db, c, slot->x, slot->y);
-                ++stats.fallback_placements;
-                audit_grid(AuditLevel::kFull);
-                return true;
-            }
-        }
-        if (allow_ripup) {
-            RipupOptions ropts;
-            ropts.mll = mll_opts;
-            ropts.audit = audit;
-            const RipupResult rr = ripup_place(db, grid, c, cell.gp_x(),
-                                               cell.gp_y(), ropts, &scratch);
-            if (rr.success) {
-                ++stats.ripup_placements;
-                audit_grid(AuditLevel::kFull);  // post-transaction
-                return true;
-            }
-        }
-        return false;
-    };
-
-    // ---- region-parallel plan/commit pipeline state -----------------------
+    // ---- plan/commit round state -----------------------------------------
     // Footprint padding must cover any movable cell a plan might read (see
     // compute_attempt_footprint); fixed cells are frozen into the segments
     // and never appear in the lists, so the movable maximum suffices.
@@ -214,8 +163,12 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     // outside it, so footprint slices out there cannot carry conflicts.
     const Rect die = db.floorplan().die();
     const Span die_x{die.x, static_cast<SiteCoord>(die.x + die.w)};
-    // Planning runs many MLL problems concurrently, so each one scans its
-    // insertion points serially — fan-out lives at the cell level here.
+    const auto num_rows = static_cast<std::size_t>(db.floorplan().num_rows());
+    const AttemptFootprint die_footprint{
+        Span{0, static_cast<SiteCoord>(num_rows)}, die_x};
+    // A bucketed wave plans many MLL problems concurrently, so each one
+    // scans its insertion points serially — fan-out lives at the cell
+    // level there.
     MllOptions plan_opts = mll_opts;
     plan_opts.num_threads = 1;
     LevelSchedule schedule;
@@ -249,22 +202,37 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                                 t.footprint.x};
     };
 
-    // One retry round run as plan/commit waves (pipeline.hpp documents the
-    // serial-equivalence argument). Returns the cells the round failed to
-    // place, in queue order — exactly the serial loop's still_unplaced.
-    auto run_pipelined_round = [&](int round,
-                                   const std::vector<CellId>& queue) {
+    // Round 1: input positions (Algorithm 1 lines 2-7). Later rounds:
+    // growing random offsets (lines 9-17). Every round runs as plan/commit
+    // waves; pipeline.hpp documents the serial-equivalence argument.
+    for (int round = 1; !unplaced.empty() && round <= opts.max_rounds;
+         ++round) {
+        MRLG_OBS_PHASE("round");
         assert_grid_write_cap();  // commit waves run on this serial thread
+        stats.rounds = round;
+        const bool allow_fallback = round >= opts.free_slot_fallback_round;
+        const bool allow_ripup =
+            opts.enable_ripup &&
+            round >= opts.free_slot_fallback_round + 2;
+        // The free-slot fallback and rip-up may write anywhere on the die,
+        // so their rounds (rip-up rounds are fallback rounds too) and every
+        // round of the kSerial oracle give each task its own wave and a
+        // die-wide footprint. Such a wave plans a single cell, so its plan
+        // keeps the run's threaded scan.
+        const bool one_per_wave =
+            allow_fallback ||
+            opts.pipeline == LegalizerOptions::Pipeline::kSerial;
+        const MllOptions& round_opts = one_per_wave ? mll_opts : plan_opts;
         const std::size_t points_before = stats.mll_points_evaluated;
+
         // Build the round's tasks in queue order. This draws the round's
-        // jitter exactly as the serial loop would: two uniforms per cell,
-        // queue order, so the Rng stream stays bit-identical. Each task's
+        // jitter as Algorithm 1 does: two uniforms per cell, queue order,
+        // so the Rng stream is the same under every schedule. Each task's
         // wave is fixed here, once its footprint is known.
         tasks.clear();
-        tasks.reserve(queue.size());
-        schedule.reset(static_cast<std::size_t>(db.floorplan().num_rows()),
-                       die_x);
-        for (const CellId c : queue) {
+        tasks.reserve(unplaced.size());
+        schedule.reset(num_rows, die_x);
+        for (const CellId c : unplaced) {
             const Cell& cell = db.cell(c);
             PlanTask t;
             t.cell = c;
@@ -275,10 +243,8 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                     static_cast<SiteCoord>(opts.mll.rx) * (round - 1);
                 const SiteCoord range_y =
                     static_cast<SiteCoord>(opts.mll.ry) * (round - 1);
-                t.px +=
-                    static_cast<double>(rng.uniform(-range_x, range_x));
-                t.py +=
-                    static_cast<double>(rng.uniform(-range_y, range_y));
+                t.px += static_cast<double>(rng.uniform(-range_x, range_x));
+                t.py += static_cast<double>(rng.uniform(-range_y, range_y));
             }
             const Point p = nearest_aligned_position(db, c, t.px, t.py,
                                                      mll_opts.check_rail);
@@ -286,22 +252,24 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
             t.rail_ok =
                 !mll_opts.check_rail ||
                 rail_compatible(p.y, cell.height(), cell.rail_phase());
-            // The MLL window of paper §3, anchored like mll_plan's.
-            const SiteCoord ax =
-                static_cast<SiteCoord>(std::lround(t.px));
-            const SiteCoord ay =
-                static_cast<SiteCoord>(std::lround(t.py));
-            const Rect window{
-                static_cast<SiteCoord>(ax - mll_opts.rx),
-                static_cast<SiteCoord>(ay - mll_opts.ry),
-                static_cast<SiteCoord>(2 * mll_opts.rx + cell.width()),
-                static_cast<SiteCoord>(2 * mll_opts.ry + cell.height())};
-            t.footprint =
-                compute_attempt_footprint(window, t.fitted, max_cell_width);
-            t.wave = schedule.assign(t.footprint);
+            if (one_per_wave) {
+                // A die-wide footprint would touch every bucket: skip the
+                // schedule, the task's queue position is its wave.
+                t.footprint = die_footprint;
+                t.wave = static_cast<std::uint32_t>(tasks.size() + 1);
+            } else {
+                t.footprint = compute_attempt_footprint(
+                    mll_window(mll_opts, cell.width(), cell.height(), t.px,
+                               t.py),
+                    t.fitted, max_cell_width);
+                t.wave = schedule.assign(t.footprint);
+            }
             tasks.push_back(std::move(t));
         }
-        order_by_wave(tasks, schedule.num_waves(), order, offsets);
+        order_by_wave(tasks,
+                      one_per_wave ? static_cast<std::uint32_t>(tasks.size())
+                                   : schedule.num_waves(),
+                      order, offsets);
 
         for (std::size_t w = 1; w < offsets.size(); ++w) {
             MRLG_OBS_PHASE("wave");
@@ -359,7 +327,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                                                     CellId{}, cell.region());
                             if (!t.direct) {
                                 t.plan = mll_plan(plan_db, plan_grid, t.cell,
-                                                  t.px, t.py, plan_opts,
+                                                  t.px, t.py, round_opts,
                                                   &plan_scratch);
                             }
                         }
@@ -436,10 +404,40 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                         }
                         t.placed = true;
                         audit_grid(AuditLevel::kFull);
-                    } else {
-                        emit_attempt_counters(t.plan);
-                        stats.mll_points_evaluated += t.plan.num_points;
-                        ++stats.mll_failures;
+                        continue;
+                    }
+                    emit_attempt_counters(t.plan);
+                    stats.mll_points_evaluated += t.plan.num_points;
+                    ++stats.mll_failures;
+                    // Only one-task waves get here with these enabled;
+                    // their die-wide footprint covers any slot they take.
+                    if (allow_fallback) {
+                        // Deterministic tail handling: snap to the nearest
+                        // free slot around the *original* gp position (not
+                        // the jittered one).
+                        const auto free_slot = find_nearest_free_position(
+                            db, grid, t.cell, cell.gp_x(), cell.gp_y(),
+                            mll_opts.check_rail);
+                        if (free_slot) {
+                            grid.place(db, t.cell, free_slot->x,
+                                       free_slot->y);
+                            ++stats.fallback_placements;
+                            t.placed = true;
+                            audit_grid(AuditLevel::kFull);
+                            continue;
+                        }
+                    }
+                    if (allow_ripup) {
+                        RipupOptions ropts;
+                        ropts.mll = mll_opts;
+                        ropts.audit = audit;
+                        if (ripup_place(db, grid, t.cell, cell.gp_x(),
+                                        cell.gp_y(), ropts, &scratch)
+                                .success) {
+                            ++stats.ripup_placements;
+                            t.placed = true;
+                            audit_grid(AuditLevel::kFull);  // post-transaction
+                        }
                     }
                 }
             }
@@ -448,61 +446,18 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
         // Round-level exactness: every insertion point the final plans
         // evaluated — and nothing else — entered the stats.
         std::size_t expected_points = 0;
-        std::vector<CellId> still;
+        std::vector<CellId> still_unplaced;
         for (const PlanTask& t : tasks) {
             if (!t.direct) {
                 expected_points += t.plan.num_points;
             }
             if (!t.placed) {
-                still.push_back(t.cell);
+                still_unplaced.push_back(t.cell);
             }
         }
         MRLG_ASSERT(stats.mll_points_evaluated ==
                         points_before + expected_points,
-                    "region-parallel pipeline lost insertion-point "
-                    "accounting");
-        return still;
-    };
-
-    // Round 1: input positions (Algorithm 1 lines 2-7). Later rounds:
-    // growing random offsets (lines 9-17). Early rounds run as
-    // region-parallel plan/commit waves; once the free-slot fallback (and
-    // later rip-up) engages, footprints become unbounded and the round
-    // falls back to the one-cell-at-a-time loop.
-    for (int round = 1; !unplaced.empty() && round <= opts.max_rounds;
-         ++round) {
-        MRLG_OBS_PHASE("round");
-        stats.rounds = round;
-        const bool allow_fallback = round >= opts.free_slot_fallback_round;
-        const bool allow_ripup =
-            opts.enable_ripup &&
-            round >= opts.free_slot_fallback_round + 2;
-        const bool pipelined =
-            opts.pipeline == LegalizerOptions::Pipeline::kRegionParallel &&
-            !allow_fallback && !allow_ripup;
-        std::vector<CellId> still_unplaced;
-        if (pipelined) {
-            still_unplaced = run_pipelined_round(round, unplaced);
-        } else {
-            for (const CellId c : unplaced) {
-                const Cell& cell = db.cell(c);
-                double px = cell.gp_x();
-                double py = cell.gp_y();
-                if (round > 1) {
-                    const SiteCoord range_x =
-                        static_cast<SiteCoord>(opts.mll.rx) * (round - 1);
-                    const SiteCoord range_y =
-                        static_cast<SiteCoord>(opts.mll.ry) * (round - 1);
-                    px +=
-                        static_cast<double>(rng.uniform(-range_x, range_x));
-                    py +=
-                        static_cast<double>(rng.uniform(-range_y, range_y));
-                }
-                if (!try_place(c, px, py, allow_fallback, allow_ripup)) {
-                    still_unplaced.push_back(c);
-                }
-            }
-        }
+                    "plan/commit round lost insertion-point accounting");
         unplaced = std::move(still_unplaced);
         audit_grid(AuditLevel::kCheap);  // post-round invariants
     }

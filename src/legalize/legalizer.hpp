@@ -54,18 +54,21 @@ struct LegalizerOptions {
     /// environment default. Results are bit-identical for any value (see
     /// thread_pool.hpp's determinism contract).
     int num_threads = 0;
-    /// Main-loop parallelization strategy.
+    /// Main-loop parallelization strategy. Every round runs as plan/commit
+    /// waves (legalize/pipeline.hpp); the strategy decides how the round's
+    /// cells are spread over them.
     enum class Pipeline {
-        /// One cell at a time; parallelism only inside each MLL's
-        /// insertion-point scan (the PR-1 intra-window layer).
+        /// Every cell is its own wave, with a die-wide footprint: one cell
+        /// at a time, parallelism only inside each MLL's insertion-point
+        /// scan (the intra-window layer). The trivially sound schedule,
+        /// kept as the test oracle for kRegionParallel.
         kSerial,
-        /// Plan/commit waves over disjoint local-region footprints
-        /// (legalize/pipeline.hpp): cells whose conservative footprints
-        /// don't overlap are planned concurrently and committed serially
-        /// in queue order. Bit-identical to kSerial at every thread count
-        /// by construction; rounds that enable the free-slot fallback or
-        /// rip-up (both have unbounded footprints) fall back to the
-        /// serial loop automatically.
+        /// Cells whose conservative local-region footprints don't overlap
+        /// share a wave: they are planned concurrently and committed
+        /// serially in queue order. Bit-identical to kSerial at every
+        /// thread count. Rounds that enable the free-slot fallback or
+        /// rip-up (both may write anywhere on the die) run one cell per
+        /// wave, as under kSerial, and those attempts run in commit.
         kRegionParallel,
     };
     Pipeline pipeline = Pipeline::kRegionParallel;
@@ -99,15 +102,18 @@ struct LegalizerStats {
     /// Invariant audits executed by this run's hooks (0 when auditing is
     /// off); lets callers and tests confirm the hooks actually fired.
     std::size_t audits_run = 0;
-    /// Plan/commit waves executed by the region-parallel pipeline (0 under
-    /// Pipeline::kSerial): per pipelined round, the highest wave of the
+    /// Plan/commit waves executed: per round, the highest wave of the
     /// round's level schedule (legalize/pipeline.hpp). A round with no
     /// footprint conflicts is one wave; a fully-conflicting round degrades
-    /// to one wave per cell.
+    /// to one wave per cell. Rounds that run one cell per wave (every
+    /// round under Pipeline::kSerial, and fallback/rip-up rounds) add one
+    /// wave per attempt, so under kSerial this equals direct_placements +
+    /// mll_successes + mll_failures.
     std::size_t waves = 0;
-    /// Σ(wave − 1) over the cells of every pipelined round: each wave adds
-    /// the round's cells scheduled into later waves, because their
-    /// footprints share a bucket with an earlier cell's. Pipeline-health
+    /// Σ(wave − 1) over the cells of every round: each wave adds the
+    /// round's cells scheduled into later waves, because their footprints
+    /// share a bucket with an earlier cell's (or, one cell per wave, just
+    /// come later: n(n − 1)/2 for a round of n cells). Pipeline-health
     /// signal: high values mean the batches are thin and the round is
     /// effectively serial.
     std::size_t conflict_requeues = 0;

@@ -79,6 +79,16 @@ ScanBest scan_insertion_points(const LocalProblem& lp,
 
 }  // namespace
 
+Rect mll_window(const MllOptions& opts, SiteCoord width, SiteCoord height,
+                double pref_x, double pref_y) {
+    const SiteCoord ax = static_cast<SiteCoord>(std::lround(pref_x));
+    const SiteCoord ay = static_cast<SiteCoord>(std::lround(pref_y));
+    return Rect{static_cast<SiteCoord>(ax - opts.rx),
+                static_cast<SiteCoord>(ay - opts.ry),
+                static_cast<SiteCoord>(2 * opts.rx + width),
+                static_cast<SiteCoord>(2 * opts.ry + height)};
+}
+
 MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
                  CellId target_cell, double pref_x, double pref_y,
                  const MllOptions& opts, MllScratch* scratch) {
@@ -97,15 +107,7 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
     target.pref_y = pref_y;
     target.rail_phase = cell.rail_phase();
 
-    // Window of paper §3: lower-left (x - Rx, y - Ry), size
-    // (2Rx + w) x (2Ry + h), anchored at the rounded preferred position.
-    const SiteCoord ax = static_cast<SiteCoord>(std::lround(pref_x));
-    const SiteCoord ay = static_cast<SiteCoord>(std::lround(pref_y));
-    const Rect window{static_cast<SiteCoord>(ax - opts.rx),
-                      static_cast<SiteCoord>(ay - opts.ry),
-                      static_cast<SiteCoord>(2 * opts.rx + target.w),
-                      static_cast<SiteCoord>(2 * opts.ry + target.h)};
-
+    const Rect window = mll_window(opts, target.w, target.h, pref_x, pref_y);
     const LocalRegion region = extract_local_region(
         db, grid, window, cell.region(),
         scratch != nullptr ? &scratch->region : nullptr);

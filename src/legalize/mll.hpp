@@ -114,6 +114,12 @@ struct MllPlan {
     bool success() const { return status == MllStatus::kSuccess; }
 };
 
+/// The MLL window of paper §3 for a `width` x `height` cell preferring
+/// (pref_x, pref_y): lower-left (x - Rx, y - Ry), size (2Rx + w) x
+/// (2Ry + h), anchored at the rounded preferred position.
+Rect mll_window(const MllOptions& opts, SiteCoord width, SiteCoord height,
+                double pref_x, double pref_y);
+
 /// Read-only planning half of MLL: computes where `target_cell` (must be
 /// unplaced) would be inserted near (pref_x, pref_y) and which local cells
 /// would shift, without mutating `db` or `grid`. Safe to run concurrently

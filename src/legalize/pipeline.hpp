@@ -1,9 +1,9 @@
 #pragma once
 /// \file pipeline.hpp
-/// Region-parallel plan/commit pipeline support for the legalizer.
+/// Plan/commit pipeline support for the legalizer.
 ///
-/// The legalizer's retry rounds process a pending-cell queue. In the
-/// region-parallel pipeline each round is level-scheduled into *waves*:
+/// Every retry round of the legalizer processes its pending-cell queue as
+/// *waves*:
 ///
 ///   1. schedule — while the round's tasks are built in queue order, each
 ///      task gets its wave from a LevelSchedule: 1 + the highest wave
@@ -16,6 +16,14 @@
 ///      against the wave-start grid (mll_plan, per-thread scratch).
 ///   3. commit — plans are applied serially in queue order (mll_commit).
 ///
+/// Rounds that enable the free-slot fallback or rip-up skip the schedule:
+/// both may write anywhere on the die, so each task gets a die-wide
+/// footprint and its own wave (its queue position), its plan keeps the
+/// threaded insertion-point scan, and a failed plan runs
+/// find_nearest_free_position and then ripup_place inside commit.
+/// Pipeline::kSerial runs every round that way, which makes it the
+/// trivially sound oracle the bucketed schedule is tested against.
+///
 /// Serial equivalence, by induction over the waves: every earlier task
 /// whose footprint shares a bucket with task t sits in an earlier wave, so
 /// it has committed before t plans; every later such task sits in a later
@@ -24,13 +32,13 @@
 /// equals the state its serial turn would have seen, and its commit writes
 /// exactly what the serial attempt would have written. Tasks of one wave
 /// are pairwise bucket-disjoint, so their concurrent plans read a frozen
-/// grid. The outcome is therefore bit-identical to the one-cell-at-a-time
-/// loop at every thread count — including the degenerate dense case where
-/// every footprint conflicts and each wave holds exactly one cell (serial
-/// order, serial speed). A plan that is stale at commit is a broken proof,
-/// not a retry: mll_commit asserts it (so does the direct-slot commit),
-/// and audit_plan_batch / audit_plan_writes re-check both halves of the
-/// argument when auditing is on.
+/// grid. The outcome is therefore bit-identical to one cell per wave in
+/// queue order (kSerial) at every thread count — the bucketed schedule
+/// degrades to exactly that in the dense case where every footprint
+/// conflicts (serial order, serial speed). A plan that is stale at commit
+/// is a broken proof, not a retry: mll_commit asserts it (so does the
+/// direct-slot commit), and audit_plan_batch / audit_plan_writes re-check
+/// both halves of the argument when auditing is on.
 ///
 /// The wave a task gets is the one a greedy per-wave partition would pick
 /// — batch a pending task iff it shares no bucket with any earlier pending

@@ -1,13 +1,14 @@
 /// \file test_region_parallel.cpp
 /// Determinism and unit coverage for the region-parallel plan/commit
-/// pipeline (legalize/pipeline.hpp): the pipeline must be byte-identical
-/// to the serial cell-at-a-time loop on every design, at every thread
-/// count — that is its entire correctness contract.
+/// pipeline (legalize/pipeline.hpp): the bucketed schedule must be
+/// byte-identical to Pipeline::kSerial (one cell per wave) on every design,
+/// at every thread count — that is its entire correctness contract.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "eval/legality.hpp"
@@ -239,10 +240,12 @@ struct RunOutcome {
     LegalizerStats stats;
 };
 
+/// Legalizes `db` from scratch with `opts` (seed, pipeline and thread
+/// count overridden).
 RunOutcome run(Database& db, SegmentGrid& grid,
-               LegalizerOptions::Pipeline pipeline, int threads) {
+               LegalizerOptions::Pipeline pipeline, int threads,
+               LegalizerOptions opts = {}) {
     unplace_all(db, grid);
-    LegalizerOptions opts;
     opts.seed = 5;
     opts.pipeline = pipeline;
     opts.num_threads = threads;
@@ -301,7 +304,11 @@ void expect_pipeline_identity(Database& db, SegmentGrid& grid,
                               const char* what) {
     const RunOutcome serial =
         run(db, grid, LegalizerOptions::Pipeline::kSerial, 1);
-    EXPECT_EQ(serial.stats.waves, 0u) << what;   // serial runs no waves
+    // kSerial runs exactly one attempt per wave.
+    EXPECT_EQ(serial.stats.waves, serial.stats.direct_placements +
+                                      serial.stats.mll_successes +
+                                      serial.stats.mll_failures)
+        << what;
     for (const int threads : {1, 2, 8}) {
         const RunOutcome rp = run(
             db, grid, LegalizerOptions::Pipeline::kRegionParallel, threads);
@@ -351,6 +358,58 @@ TEST(RegionParallel, SaturatedDesignsDegradeGracefully) {
     }
     // At ~90% density the schedule must actually spread cells over waves.
     EXPECT_GT(total_requeues, 0u);
+}
+
+TEST(RegionParallel, FallbackAndRipupRunInCommit) {
+    // The free-slot fallback and rip-up run inside commit, one task per
+    // wave with a die-wide footprint. Each design below needs one of them;
+    // at full audit depth both pipelines must agree bit for bit.
+    LegalizerOptions opts;
+    opts.order = LegalizerOptions::Order::kInputOrder;  // adversarial
+    opts.max_rounds = 12;
+    opts.audit = AuditLevel::kFull;
+
+    // Rows 1-2 fill completely, so the double-height cell finds no free
+    // row pair (rows 0 and 3 are not adjacent): only rip-up places it.
+    Database ripup_db = empty_design(4, 40);
+    for (int i = 0; i < 8; ++i) {
+        add_unplaced(ripup_db, "r1_" + std::to_string(i), i * 5.0, 1.0, 5, 1);
+        add_unplaced(ripup_db, "r2_" + std::to_string(i), i * 5.0, 2.0, 5, 1);
+    }
+    add_unplaced(ripup_db, "dbl", 18.0, 1.0, 4, 2, RailPhase::kOdd);
+    SegmentGrid ripup_grid = SegmentGrid::build(ripup_db);
+
+    // Row 0 fills completely and a window of zero half-height (ry = 0, so
+    // no y jitter either) never leaves it: the ninth cell fails MLL in
+    // every round until the free-slot fallback drops it into row 1.
+    Database fallback_db = empty_design(2, 40);
+    for (int i = 0; i < 9; ++i) {
+        add_unplaced(fallback_db, "r0_" + std::to_string(i),
+                     i == 8 ? 18.0 : i * 5.0, 0.0, 5, 1);
+    }
+    SegmentGrid fallback_grid = SegmentGrid::build(fallback_db);
+    LegalizerOptions fallback_opts = opts;
+    fallback_opts.mll.ry = 0;
+
+    const RunOutcome ripup = run(ripup_db, ripup_grid,
+                                 LegalizerOptions::Pipeline::kSerial, 1, opts);
+    const RunOutcome fallback =
+        run(fallback_db, fallback_grid, LegalizerOptions::Pipeline::kSerial,
+            1, fallback_opts);
+    EXPECT_TRUE(ripup.stats.success);
+    EXPECT_GE(ripup.stats.ripup_placements, 1u);
+    EXPECT_TRUE(fallback.stats.success);
+    EXPECT_GE(fallback.stats.fallback_placements, 1u);
+    for (const int threads : {1, 2, 8}) {
+        expect_equal(run(ripup_db, ripup_grid,
+                         LegalizerOptions::Pipeline::kRegionParallel, threads,
+                         opts),
+                     ripup, "ripup");
+        expect_equal(run(fallback_db, fallback_grid,
+                         LegalizerOptions::Pipeline::kRegionParallel, threads,
+                         fallback_opts),
+                     fallback, "fallback");
+    }
 }
 
 TEST(RegionParallel, WavesAccountedInStats) {

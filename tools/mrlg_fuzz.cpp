@@ -24,13 +24,16 @@
 ///                       timeline of the campaign's parallel phases
 ///     --replay FILE.aux replay a dumped repro instead of fuzzing
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "obs/run_report.hpp"
 #include "qa/fuzz.hpp"
+#include "util/str.hpp"
 
 using namespace mrlg;
 
@@ -52,6 +55,23 @@ bool has_flag(int argc, char** argv, const char* key) {
         }
     }
     return false;
+}
+
+/// Reads `key`'s value, when the flag is given, as a whole non-negative
+/// integer no larger than `max`; false on a malformed or larger value.
+template <typename T>
+bool count_flag(int argc, char** argv, const char* key, std::size_t max,
+                T& out) {
+    const char* s = find_arg(argc, argv, key);
+    std::size_t v = 0;
+    if (s == nullptr) {
+        return true;
+    }
+    if (!parse_count(s, v) || v > max) {
+        return false;
+    }
+    out = static_cast<T>(v);
+    return true;
 }
 
 int usage() {
@@ -85,17 +105,15 @@ int main(int argc, char** argv) {
     if (const char* env = std::getenv("MRLG_FUZZ_ITERS")) {
         opts.iters = std::atoi(env);
     }
-    if (const char* s = find_arg(argc, argv, "--seed")) {
-        opts.seed = static_cast<std::uint64_t>(std::atoll(s));
-    }
-    if (const char* s = find_arg(argc, argv, "--iters")) {
-        opts.iters = std::atoi(s);
-    }
-    if (const char* s = find_arg(argc, argv, "--threads")) {
-        opts.num_threads = std::atoi(s);
-    }
-    if (const char* s = find_arg(argc, argv, "--max-failures")) {
-        opts.max_failures = std::atoi(s);
+    const auto max_int =
+        static_cast<std::size_t>(std::numeric_limits<int>::max());
+    if (!count_flag(argc, argv, "--seed",
+                    std::numeric_limits<std::uint64_t>::max(), opts.seed) ||
+        !count_flag(argc, argv, "--iters", max_int, opts.iters) ||
+        !count_flag(argc, argv, "--threads", max_int, opts.num_threads) ||
+        !count_flag(argc, argv, "--max-failures", max_int,
+                    opts.max_failures)) {
+        return usage();
     }
     if (const char* s = find_arg(argc, argv, "--out")) {
         opts.repro_dir = s;

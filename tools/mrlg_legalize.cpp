@@ -17,7 +17,8 @@
 ///     --gen-seed S      generator: rng seed           (default 1)
 ///     --seed S          legalizer rng seed            (default 1)
 ///     --threads T       evaluation threads, 0 = MRLG_THREADS (default 0)
-///     --rx N / --ry N   MLL window radii              (default 30 / 5)
+///     --rx N / --ry N   MLL window radii, at most 2097151
+///                                                     (default 30 / 5)
 ///     --exact           exact insertion-point evaluation ("ILP" config)
 ///     --relaxed         drop the power-rail parity constraint
 ///     --dp              run the detailed placer afterwards
@@ -29,9 +30,11 @@
 ///     --out DIR         write the legalized design as Bookshelf into DIR
 ///     --quiet           suppress the stdout summary
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "db/segment.hpp"
@@ -84,6 +87,41 @@ bool gen_flags_ok(int argc, char** argv, GenProfile& p) {
     return p.density > 0.0 && p.density < GenProfile::kMaxDensity;
 }
 
+/// Reads `key`'s value, when the flag is given, as a whole non-negative
+/// integer no larger than `max`; false on a malformed or larger value.
+template <typename T>
+bool count_flag(int argc, char** argv, const char* key, std::size_t max,
+                T& out) {
+    const char* s = find_arg(argc, argv, key);
+    std::size_t v = 0;
+    if (s == nullptr) {
+        return true;
+    }
+    if (!parse_count(s, v) || v > max) {
+        return false;
+    }
+    out = static_cast<T>(v);
+    return true;
+}
+
+/// Reads --seed, --threads, --rx and --ry into `opts`; false on a bad
+/// value. A window radius r is capped at kSiteCoordMax / (4·max_rounds),
+/// so the widest jitter range r·(max_rounds − 1) plus the window width
+/// 2·r + w stays within a quarter of kSiteCoordMax and die coordinates
+/// and cell widths w keep the rest: no derived coordinate can overflow.
+bool legalizer_flags_ok(int argc, char** argv, LegalizerOptions& opts) {
+    const auto max_radius = static_cast<std::size_t>(
+        kSiteCoordMax / (4 * static_cast<SiteCoord>(opts.max_rounds)));
+    return count_flag(argc, argv, "--seed",
+                      std::numeric_limits<std::uint64_t>::max(), opts.seed) &&
+           count_flag(argc, argv, "--threads",
+                      static_cast<std::size_t>(
+                          std::numeric_limits<int>::max()),
+                      opts.num_threads) &&
+           count_flag(argc, argv, "--rx", max_radius, opts.mll.rx) &&
+           count_flag(argc, argv, "--ry", max_radius, opts.mll.ry);
+}
+
 int usage() {
     std::cerr
         << "usage: mrlg_legalize <design.aux> | --lef L --def D | --gen\n"
@@ -97,6 +135,13 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+    LegalizerOptions opts;
+    if (!legalizer_flags_ok(argc, argv, opts)) {
+        return usage();
+    }
+    opts.mll.exact_evaluation = has_flag(argc, argv, "--exact");
+    opts.mll.check_rail = !has_flag(argc, argv, "--relaxed");
+
     Database db;
     std::string design = "design";
 
@@ -141,21 +186,6 @@ int main(int argc, char** argv) {
         return usage();
     }
 
-    LegalizerOptions opts;
-    if (const char* s = find_arg(argc, argv, "--seed")) {
-        opts.seed = static_cast<std::uint64_t>(std::atoll(s));
-    }
-    if (const char* s = find_arg(argc, argv, "--threads")) {
-        opts.num_threads = std::atoi(s);
-    }
-    if (const char* s = find_arg(argc, argv, "--rx")) {
-        opts.mll.rx = static_cast<SiteCoord>(std::atol(s));
-    }
-    if (const char* s = find_arg(argc, argv, "--ry")) {
-        opts.mll.ry = static_cast<SiteCoord>(std::atol(s));
-    }
-    opts.mll.exact_evaluation = has_flag(argc, argv, "--exact");
-    opts.mll.check_rail = !has_flag(argc, argv, "--relaxed");
     const bool quiet = has_flag(argc, argv, "--quiet");
 
     // One tracer for the whole run; --deterministic swaps in counted
