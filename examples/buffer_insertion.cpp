@@ -74,7 +74,7 @@ int main() {
         const CellId buf = db.add_cell(
             Cell("buf" + std::to_string(i), 2, 1, RailPhase::kEven));
         db.cell(buf).set_gp(n.cx, n.cy);
-        const MllResult r = mll_place(db, grid, buf, n.cx, n.cy);
+        const MllPlan r = mll_place(db, grid, buf, n.cx, n.cy);
         if (!r.success()) {
             ++failed;
             continue;

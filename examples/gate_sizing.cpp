@@ -57,7 +57,7 @@ int main() {
                  old_cell.rail_phase()));
         db.cell(upsized).set_gp(px, py);
 
-        const MllResult r = mll_place(db, grid, upsized, px, py);
+        const MllPlan r = mll_place(db, grid, upsized, px, py);
         if (r.success()) {
             ++resized;
             total_disturbance += r.real_cost_um;

@@ -91,7 +91,7 @@ int main() {
         const SiteCoord old_y = cell.y();
         const double before = hpwl_um(db, PositionSource::kLegalized);
         grid.remove(db, c);
-        const MllResult r = mll_place(db, grid, c, tx, ty);
+        const MllPlan r = mll_place(db, grid, c, tx, ty);
         if (!r.success()) {
             grid.place(db, c, old_x, old_y);
             continue;

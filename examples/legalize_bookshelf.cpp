@@ -12,8 +12,10 @@
 ///     --swap         run the global same-footprint swap pass
 ///     --polish       run the single-row polish pass afterwards
 ///     --report       print the placement quality report
-///     --rx N --ry N  MLL window radii (default 30 / 5)
-///     --demo         generate a small demo design instead of reading one\n///     --lef L --def D  read an ISPD2015-style LEF/DEF pair instead
+///     --rx N --ry N  MLL window radii, at most 2097151 (default 30 / 5)
+///     --demo         generate a small demo design instead of reading one
+///     --lef L --def D  read an ISPD2015-style LEF/DEF pair instead
+/// Exit code: 0 on success, 1 on failure, 2 on usage or parse errors.
 
 #include <cstring>
 #include <filesystem>
@@ -30,6 +32,7 @@
 #include "io/lefdef.hpp"
 #include "io/svg.hpp"
 #include "legalize/legalizer.hpp"
+#include "util/str.hpp"
 
 using namespace mrlg;
 
@@ -53,9 +56,51 @@ bool has_flag(int argc, char** argv, const char* key) {
     return false;
 }
 
+/// Reads `key`'s value, when the flag is given, as a whole number no
+/// larger than `max`; false on a malformed or larger value.
+bool radius_flag(int argc, char** argv, const char* key, std::size_t max,
+                 SiteCoord& out) {
+    const char* s = find_arg(argc, argv, key);
+    std::size_t v = 0;
+    if (s == nullptr) {
+        return true;
+    }
+    if (!parse_count(s, v) || v > max) {
+        return false;
+    }
+    out = static_cast<SiteCoord>(v);
+    return true;
+}
+
+/// Reads --rx and --ry into `opts`; false on a bad value. The cap is
+/// mrlg_legalize's, kSiteCoordMax / (4·max_rounds), under which no derived
+/// window or jitter coordinate can overflow.
+bool radius_flags_ok(int argc, char** argv, LegalizerOptions& opts) {
+    const auto max_radius = static_cast<std::size_t>(
+        kSiteCoordMax / (4 * static_cast<SiteCoord>(opts.max_rounds)));
+    return radius_flag(argc, argv, "--rx", max_radius, opts.mll.rx) &&
+           radius_flag(argc, argv, "--ry", max_radius, opts.mll.ry);
+}
+
+int usage() {
+    std::cerr << "usage: legalize_bookshelf <design.aux> | --lef L --def D"
+                 " | --demo\n"
+                 "       [--out DIR] [--svg FILE] [--relaxed] [--exact]"
+                 " [--dp] [--swap]\n"
+                 "       [--polish] [--report] [--rx N] [--ry N]\n";
+    return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+    LegalizerOptions opts;
+    if (!radius_flags_ok(argc, argv, opts)) {
+        return usage();
+    }
+    opts.mll.check_rail = !has_flag(argc, argv, "--relaxed");
+    opts.mll.exact_evaluation = has_flag(argc, argv, "--exact");
+
     Database db;
     std::string design = "design";
     LefLibrary lef;          // populated in LEF/DEF mode
@@ -86,10 +131,7 @@ int main(int argc, char** argv) {
     } else {
         if (argc < 2 || argv[1][0] == '-') {
             // (reached only when neither --demo nor --lef/--def was given)
-            std::cerr << "usage: legalize_bookshelf <design.aux> [--out DIR]"
-                         " [--svg FILE] [--relaxed] [--exact] [--dp]"
-                         " [--demo]\n";
-            return 2;
+            return usage();
         }
         try {
             BookshelfReadResult r = read_bookshelf(argv[1]);
@@ -103,15 +145,6 @@ int main(int argc, char** argv) {
     }
 
     SegmentGrid grid = SegmentGrid::build(db);
-    LegalizerOptions opts;
-    opts.mll.check_rail = !has_flag(argc, argv, "--relaxed");
-    opts.mll.exact_evaluation = has_flag(argc, argv, "--exact");
-    if (const char* rx = find_arg(argc, argv, "--rx")) {
-        opts.mll.rx = static_cast<SiteCoord>(std::atoi(rx));
-    }
-    if (const char* ry = find_arg(argc, argv, "--ry")) {
-        opts.mll.ry = static_cast<SiteCoord>(std::atoi(ry));
-    }
 
     const double gp_hpwl = hpwl_m(db, PositionSource::kGlobalPlacement);
     const LegalizerStats stats = legalize_placement(db, grid, opts);

@@ -47,7 +47,7 @@ std::optional<std::pair<double, double>> median_target(const Database& db,
 /// every shifted cell. Sorted: the caller folds float deltas over this
 /// list, so its order must not depend on hash layout.
 std::vector<NetId> affected_nets(const Database& db, CellId target,
-                                 const MllResult& r) {
+                                 const MllPlan& plan) {
     std::vector<NetId> nets;
     auto add_cell_nets = [&](CellId c) {
         for (const PinId pid : db.cell(c).pins()) {
@@ -55,9 +55,8 @@ std::vector<NetId> affected_nets(const Database& db, CellId target,
         }
     };
     add_cell_nets(target);
-    for (const auto& [id, old_x] : r.moved) {
-        static_cast<void>(old_x);
-        add_cell_nets(id);
+    for (const MllPlan::Move& m : plan.moves) {
+        add_cell_nets(m.id);
     }
     std::sort(nets.begin(), nets.end());
     nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
@@ -132,7 +131,7 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
 
             ++stats.moves_attempted;
             grid.remove(db, cand.cell);
-            const MllResult r =
+            const MllPlan r =
                 mll_place(db, grid, cand.cell, med->first, med->second,
                           opts.mll);
             if (!r.success()) {

@@ -176,27 +176,6 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     std::vector<std::size_t> order;    // task indices by wave (order_by_wave)
     std::vector<std::size_t> offsets;  // per-wave bounds into `order`
 
-    // Re-emits the per-attempt mll.* counters a serial mll_place would
-    // have produced for this (final) plan. The plan pass runs with the
-    // tracer paused (workers must not touch it — see obs::TracerPause), so
-    // the orchestrator replays the aggregate in commit order.
-    auto emit_attempt_counters = [&](const MllPlan& plan) {
-        MRLG_OBS_COUNT("mll.attempts", 1);
-        if (plan.status == MllStatus::kNoRegion) {
-            MRLG_OBS_COUNT("mll.no_region", 1);
-            return;
-        }
-        if (plan.enumeration_truncated) {
-            MRLG_OBS_COUNT("mll.enumerations_truncated", 1);
-        }
-        if (!plan_opts.use_mip && plan.num_points > 0) {
-            MRLG_OBS_COUNT("mll.points_evaluated", plan.num_points);
-        }
-        if (plan.status == MllStatus::kNoInsertionPoint) {
-            MRLG_OBS_COUNT("mll.no_insertion_point", 1);
-        }
-    };
-
     auto task_footprint = [](const PlanTask& t) {
         return PlannedFootprint{t.cell.value(), t.footprint.rows,
                                 t.footprint.x};
@@ -371,20 +350,23 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                         audit_grid(AuditLevel::kFull);
                         continue;
                     }
+                    // The plan pass ran with the tracer paused (workers
+                    // must not touch it — see obs::TracerPause), so the
+                    // attempt is counted here, in commit order.
+                    count_mll_attempt(t.plan, round_opts);
+                    stats.mll_points_evaluated += t.plan.num_points;
                     if (t.plan.success()) {
-                        const MllResult r =
-                            mll_commit(db, grid, t.cell, t.plan);
-                        emit_attempt_counters(t.plan);
-                        stats.mll_points_evaluated += t.plan.num_points;
+                        mll_commit(db, grid, t.cell, t.plan);
                         ++stats.mll_successes;
                         MRLG_OBS_OBSERVE("legalize.mll_real_cost_um",
-                                         r.real_cost_um);
+                                         t.plan.real_cost_um);
                         if (audit >= AuditLevel::kFull) {
                             // Commit writes must stay inside the claimed
                             // footprint (the other half of the pipeline's
                             // correctness argument).
                             std::vector<Rect> writes;
-                            writes.push_back(Rect{r.x, r.y, cell.width(),
+                            writes.push_back(Rect{t.plan.x, t.plan.y,
+                                                  cell.width(),
                                                   cell.height()});
                             for (const MllPlan::Move& m : t.plan.moves) {
                                 const Cell& mc = db.cell(m.id);
@@ -406,8 +388,6 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                         audit_grid(AuditLevel::kFull);
                         continue;
                     }
-                    emit_attempt_counters(t.plan);
-                    stats.mll_points_evaluated += t.plan.num_points;
                     ++stats.mll_failures;
                     // Only one-task waves get here with these enabled;
                     // their die-wide footprint covers any slot they take.
@@ -430,7 +410,6 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                     if (allow_ripup) {
                         RipupOptions ropts;
                         ropts.mll = mll_opts;
-                        ropts.audit = audit;
                         if (ripup_place(db, grid, t.cell, cell.gp_x(),
                                         cell.gp_y(), ropts, &scratch)
                                 .success) {

@@ -93,7 +93,6 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
                  CellId target_cell, double pref_x, double pref_y,
                  const MllOptions& opts, MllScratch* scratch) {
     MRLG_OBS_PHASE("mll");
-    MRLG_OBS_COUNT("mll.attempts", 1);
     MllPlan res;
     const Cell& cell = db.cell(target_cell);
     MRLG_ASSERT(!cell.placed(), "MLL target must be unplaced");
@@ -112,7 +111,6 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
         db, grid, window, cell.region(),
         scratch != nullptr ? &scratch->region : nullptr);
     if (region.height() == 0) {
-        MRLG_OBS_COUNT("mll.no_region", 1);
         return res;
     }
     if (opts.audit >= AuditLevel::kFull) {
@@ -167,11 +165,7 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
     } else {
         enumr = enumerate_insertion_points(lp, intervals, target, eopts);
         res.enumeration_truncated = enumr.truncated;
-        if (enumr.truncated) {
-            MRLG_OBS_COUNT("mll.enumerations_truncated", 1);
-        }
         if (enumr.points.empty()) {
-            MRLG_OBS_COUNT("mll.no_insertion_point", 1);
             res.status = MllStatus::kNoInsertionPoint;
             return res;
         }
@@ -183,11 +177,9 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
         // Per-point accounting: sum of points each chunk evaluated, exact
         // under any chunking (== points.size(); never the chunk count).
         res.num_points = best.evaluated;
-        MRLG_OBS_COUNT("mll.points_evaluated", best.evaluated);
         MRLG_ASSERT(best.evaluated == enumr.points.size(),
                     "parallel scan must evaluate every enumerated point");
         if (best.index == kNoPoint) {
-            MRLG_OBS_COUNT("mll.no_insertion_point", 1);
             res.status = MllStatus::kNoInsertionPoint;
             return res;
         }
@@ -221,25 +213,8 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
     return res;
 }
 
-MllResult mll_result_from_plan(const MllPlan& plan) {
-    MllResult res;
-    res.status = plan.status;
-    res.x = plan.x;
-    res.y = plan.y;
-    res.est_cost_um = plan.est_cost_um;
-    res.real_cost_um = plan.real_cost_um;
-    res.num_points = plan.num_points;
-    res.num_local_cells = plan.num_local_cells;
-    res.enumeration_truncated = plan.enumeration_truncated;
-    res.moved.reserve(plan.moves.size());
-    for (const MllPlan::Move& m : plan.moves) {
-        res.moved.emplace_back(m.id, m.old_x);
-    }
-    return res;
-}
-
-MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
-                     const MllPlan& plan) {
+void mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
+                const MllPlan& plan) {
     MRLG_ASSERT(plan.success(), "can only commit a successful MLL plan");
     const Cell& target = db.cell(target_cell);
     MRLG_ASSERT(!target.placed(), "MLL commit target must be unplaced");
@@ -257,31 +232,47 @@ MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
     MRLG_ASSERT(grid.placeable(db, slot, CellId{}, target.region()),
                 "stale MLL plan: target slot is taken");
     grid.place(db, target_cell, plan.x, plan.y);
-    MllResult res = mll_result_from_plan(plan);
     MRLG_OBS_COUNT("mll.commits", 1);
-    MRLG_OBS_COUNT("mll.cells_shifted", res.moved.size());
-    return res;
+    MRLG_OBS_COUNT("mll.cells_shifted", plan.moves.size());
 }
 
-MllResult mll_place(Database& db, SegmentGrid& grid, CellId target_cell,
-                    double pref_x, double pref_y, const MllOptions& opts,
-                    MllScratch* scratch) {
-    const MllPlan plan =
-        mll_plan(db, grid, target_cell, pref_x, pref_y, opts, scratch);
-    if (!plan.success()) {
-        return mll_result_from_plan(plan);
+void count_mll_attempt(const MllPlan& plan, const MllOptions& opts) {
+    MRLG_OBS_COUNT("mll.attempts", 1);
+    if (plan.status == MllStatus::kNoRegion) {
+        MRLG_OBS_COUNT("mll.no_region", 1);
+        return;
     }
-    return mll_commit(db, grid, target_cell, plan);
+    if (plan.enumeration_truncated) {
+        MRLG_OBS_COUNT("mll.enumerations_truncated", 1);
+    }
+    if (!opts.use_mip && plan.num_points > 0) {
+        MRLG_OBS_COUNT("mll.points_evaluated", plan.num_points);
+    }
+    if (plan.status == MllStatus::kNoInsertionPoint) {
+        MRLG_OBS_COUNT("mll.no_insertion_point", 1);
+    }
+}
+
+MllPlan mll_place(Database& db, SegmentGrid& grid, CellId target_cell,
+                  double pref_x, double pref_y, const MllOptions& opts,
+                  MllScratch* scratch) {
+    MllPlan plan =
+        mll_plan(db, grid, target_cell, pref_x, pref_y, opts, scratch);
+    count_mll_attempt(plan, opts);
+    if (plan.success()) {
+        mll_commit(db, grid, target_cell, plan);
+    }
+    return plan;
 }
 
 void mll_undo(Database& db, SegmentGrid& grid, CellId target_cell,
-              const MllResult& result) {
-    MRLG_ASSERT(result.success(), "can only undo a successful MLL commit");
+              const MllPlan& plan) {
+    MRLG_ASSERT(plan.success(), "can only undo a successful MLL commit");
     grid.remove(db, target_cell);
     // Restoring x values cannot change any row list's relative order:
     // shifted cells return to positions that were legal before the move.
-    for (const auto& [id, old_x] : result.moved) {
-        db.cell(id).set_x(old_x);
+    for (const MllPlan::Move& m : plan.moves) {
+        db.cell(m.id).set_x(m.old_x);
     }
 }
 

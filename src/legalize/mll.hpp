@@ -13,7 +13,9 @@
 /// mutating commit half (mll_commit) so the legalizer's region-parallel
 /// pipeline can compute many plans concurrently against a frozen grid and
 /// apply them serially in queue order. mll_place composes the two and is
-/// the drop-in serial entry point.
+/// the drop-in serial entry point. Every entry point reports an attempt as
+/// one MllPlan, and count_mll_attempt is the one function that turns it
+/// into the per-attempt mll.* counters.
 
 #include "check/audit.hpp"
 #include "db/database.hpp"
@@ -67,43 +69,23 @@ enum class MllStatus {
     kNoRegion,          ///< Window contains no usable rows.
 };
 
-struct MllResult {
+/// The one record of an MLL attempt: the chosen insertion point and the
+/// realized x of every shifted local cell (paper Algorithm 2), or the
+/// reason no point exists. Produced by mll_plan (read-only over db/grid),
+/// applied by mll_commit, reverted by mll_undo, and returned by mll_place.
+struct MllPlan {
     MllStatus status = MllStatus::kNoRegion;
-    SiteCoord x = 0;  ///< Committed target position (success only).
+    SiteCoord x = 0;  ///< Planned target position (success only).
     SiteCoord y = 0;
     double est_cost_um = 0.0;   ///< Evaluator cost of the chosen point.
     double real_cost_um = 0.0;  ///< Realized displacement cost, microns.
     std::size_t num_points = 0;
     std::size_t num_local_cells = 0;
     bool enumeration_truncated = false;
-    /// Local cells the commit shifted, with their pre-move x. MLL only
-    /// ever changes x (rows and orders are invariant), so an exact undo is
-    /// "restore these x values and remove the target".
-    std::vector<std::pair<CellId, SiteCoord>> moved;
-
-    bool success() const { return status == MllStatus::kSuccess; }
-};
-
-/// Exactly reverts a successful mll_place: removes the target and restores
-/// every shifted cell. The grid must not have been modified in between.
-void mll_undo(Database& db, SegmentGrid& grid, CellId target_cell,
-              const MllResult& result) MRLG_REQUIRES(grid_write_cap());
-
-/// A fully-computed MLL solution that has not touched the database or the
-/// segment grid. Produced by mll_plan (read-only over db/grid), applied by
-/// mll_commit. Plans carry everything MllResult reports so a failed plan
-/// converts losslessly (mll_result_from_plan).
-struct MllPlan {
-    MllStatus status = MllStatus::kNoRegion;
-    SiteCoord x = 0;  ///< Planned target position (success only).
-    SiteCoord y = 0;
-    double est_cost_um = 0.0;
-    double real_cost_um = 0.0;
-    std::size_t num_points = 0;
-    std::size_t num_local_cells = 0;
-    bool enumeration_truncated = false;
     /// One shifted local cell. `old_x` is the position the plan was
-    /// computed against; commit validates it before applying `new_x`.
+    /// computed against; commit validates it before applying `new_x`. MLL
+    /// only ever changes x (rows and orders are invariant), so an exact
+    /// undo is "restore every old_x and remove the target".
     struct Move {
         CellId id;
         SiteCoord old_x = 0;
@@ -124,7 +106,8 @@ Rect mll_window(const MllOptions& opts, SiteCoord width, SiteCoord height,
 /// unplaced) would be inserted near (pref_x, pref_y) and which local cells
 /// would shift, without mutating `db` or `grid`. Safe to run concurrently
 /// with other mll_plan calls on the same db/grid as long as nothing
-/// mutates them; pass a per-thread scratch.
+/// mutates them; pass a per-thread scratch. Counts nothing: the caller
+/// reports the plan it keeps through count_mll_attempt.
 MRLG_EFFECT_READONLY
 MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
                  CellId target_cell, double pref_x, double pref_y,
@@ -135,21 +118,32 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
 /// unchanged and the target slot placeable after the shifts. A stale plan
 /// means a caller let another commit into this plan's footprint (the
 /// region-parallel schedule rules that out), so it throws AssertionError,
-/// possibly after applying some shifts.
-MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
-                     const MllPlan& plan) MRLG_REQUIRES(grid_write_cap());
+/// possibly after applying some shifts. Counts mll.commits and
+/// mll.cells_shifted.
+void mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
+                const MllPlan& plan) MRLG_REQUIRES(grid_write_cap());
 
-/// Converts a plan (typically a failed one) to the equivalent MllResult.
-MllResult mll_result_from_plan(const MllPlan& plan);
+/// Exactly reverts a committed plan: removes the target and restores every
+/// shifted cell to its old_x. The grid must not have been modified in
+/// between.
+void mll_undo(Database& db, SegmentGrid& grid, CellId target_cell,
+              const MllPlan& plan) MRLG_REQUIRES(grid_write_cap());
+
+/// Emits the per-attempt mll.* counters for one attempt's final plan:
+/// mll.attempts always; then mll.no_region, or mll.enumerations_truncated,
+/// mll.points_evaluated (enumeration only) and mll.no_insertion_point as
+/// they apply. The single emitter behind mll_place and the legalizer's
+/// commit, so both report an attempt identically.
+void count_mll_attempt(const MllPlan& plan, const MllOptions& opts);
 
 /// Places `target_cell` (must be unplaced) as close as possible to the
 /// preferred fractional position (pref_x, pref_y), legalizing the local
 /// neighbourhood. Commits on success; leaves everything untouched on
-/// failure. Equivalent to mll_plan immediately followed by mll_commit.
-MllResult mll_place(Database& db, SegmentGrid& grid, CellId target_cell,
-                    double pref_x, double pref_y,
-                    const MllOptions& opts = {},
-                    MllScratch* scratch = nullptr)
+/// failure. Equivalent to mll_plan, count_mll_attempt and (on success)
+/// mll_commit; returns the plan, which mll_undo accepts.
+MllPlan mll_place(Database& db, SegmentGrid& grid, CellId target_cell,
+                  double pref_x, double pref_y, const MllOptions& opts = {},
+                  MllScratch* scratch = nullptr)
     MRLG_REQUIRES(grid_write_cap());
 
 }  // namespace mrlg

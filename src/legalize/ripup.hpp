@@ -19,17 +19,17 @@
 namespace mrlg {
 
 struct RipupOptions {
+    /// Options of every re-insertion MLL call. Its audit level also gates
+    /// the transaction's own audit: at kFull the segment grid is audited
+    /// after every committed transaction and after every rollback (the
+    /// transaction promises bit-for-bit restoration; the audit verifies
+    /// the grid is at least structurally intact). See check/audit.hpp.
     MllOptions mll;
     /// Candidate footprints to examine (rows near the preferred row ×
     /// x offsets near the preferred x).
     int max_candidates = 24;
     /// Refuse to evict more than this many cells per candidate.
     std::size_t max_evictions = 8;
-    /// Invariant-audit level. At kFull the segment grid is audited after
-    /// every committed transaction and after every rollback (the
-    /// transaction promises bit-for-bit restoration; the audit verifies
-    /// the grid is at least structurally intact). See check/audit.hpp.
-    AuditLevel audit = AuditLevel::kOff;
 };
 
 struct RipupResult {

@@ -363,7 +363,7 @@ std::string diff_mll_roundtrip(Database& db, SegmentGrid& grid,
                                const MllOptions& opts) {
     GridWriteScope grid_write;
     const PlacementSnapshot before = capture_snapshot(db, grid);
-    const MllResult r = mll_place(db, grid, target, pref_x, pref_y, opts);
+    const MllPlan r = mll_place(db, grid, target, pref_x, pref_y, opts);
     std::ostringstream os;
     if (!r.success()) {
         const std::string diff =

@@ -202,7 +202,7 @@ TEST(MllUndo, ExactlyRestoresState) {
         const double px = static_cast<double>(rng.uniform(5, 110));
         const double py = static_cast<double>(rng.uniform(0, 9));
         const CellId t = add_unplaced(d.db, "t", px, py, 4, 1);
-        const MllResult r = mll_place(d.db, d.grid, t, px, py);
+        const MllPlan r = mll_place(d.db, d.grid, t, px, py);
         if (!r.success()) {
             continue;
         }

@@ -109,12 +109,12 @@ TEST(Fences, MllKeepsTargetInItsRegion) {
     const CellId member =
         add_unplaced(db, "mem", 10.0, 2.0, 4, 1);
     db.cell(member).set_region(1);
-    const MllResult r = mll_place(db, grid, member, 10.0, 2.0);
+    const MllPlan r = mll_place(db, grid, member, 10.0, 2.0);
     ASSERT_TRUE(r.success());
     EXPECT_GE(r.x, 40);
     // And a core cell preferring the fence stays out.
     const CellId core = add_unplaced(db, "core", 50.0, 2.0, 4, 1);
-    const MllResult rc = mll_place(db, grid, core, 50.0, 2.0);
+    const MllPlan rc = mll_place(db, grid, core, 50.0, 2.0);
     ASSERT_TRUE(rc.success());
     EXPECT_LE(rc.x + 4, 40);
     EXPECT_TRUE(check_legality(db, grid).legal);
@@ -132,7 +132,7 @@ TEST(Fences, MllShiftsOnlySameRegionNeighbours) {
     grid.place(db, m0, 40, 2);  // fence row 2 nearly full: [40,58) of 20
     const CellId member = add_unplaced(db, "mem", 41.0, 2.0, 4, 1);
     db.cell(member).set_region(1);
-    const MllResult r = mll_place(db, grid, member, 41.0, 2.0);
+    const MllPlan r = mll_place(db, grid, member, 41.0, 2.0);
     ASSERT_TRUE(r.success());
     EXPECT_NE(r.y, 2);  // row 2's fence part cannot host 4 more sites
     EXPECT_EQ(db.cell(wall_neighbor).x(), 36);  // untouched

@@ -136,7 +136,7 @@ private:
         const CellId c = db_.add_cell(
             Cell("u" + std::to_string(counter_++), w, 1));
         db_.cell(c).set_gp(px, py);
-        const MllResult r = mll_place(db_, grid_, c, px, py);
+        const MllPlan r = mll_place(db_, grid_, c, px, py);
         if (r.success()) {
             mll_undo(db_, grid_, c, r);
         }

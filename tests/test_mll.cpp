@@ -2,6 +2,7 @@
 
 #include "eval/legality.hpp"
 #include "legalize/mll.hpp"
+#include "obs/trace.hpp"
 #include "test_helpers.hpp"
 
 namespace mrlg::test {
@@ -11,7 +12,7 @@ TEST(Mll, PlacesIntoEmptyRegionAtPreferredSpot) {
     Database db = empty_design(12, 100);
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId t = add_unplaced(db, "t", 40.0, 5.0, 4, 1);
-    const MllResult r = mll_place(db, grid, t, 40.0, 5.0);
+    const MllPlan r = mll_place(db, grid, t, 40.0, 5.0);
     ASSERT_TRUE(r.success());
     EXPECT_EQ(r.x, 40);
     EXPECT_EQ(r.y, 5);
@@ -28,7 +29,7 @@ TEST(Mll, ShiftsNeighboursMinimally) {
     const CellId b = add_placed(db, grid, "b", 40, 5, 4, 1);
     const CellId c = add_placed(db, grid, "c", 44, 5, 4, 1);
     const CellId t = add_unplaced(db, "t", 40.0, 5.0, 4, 1);
-    const MllResult r = mll_place(db, grid, t, 40.0, 5.0);
+    const MllPlan r = mll_place(db, grid, t, 40.0, 5.0);
     ASSERT_TRUE(r.success());
     EXPECT_EQ(r.y, 5);
     EXPECT_TRUE(check_legality(db, grid).legal);
@@ -44,7 +45,7 @@ TEST(Mll, RespectsRailParityForDoubleHeightTarget) {
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId t =
         add_unplaced(db, "t", 40.0, 5.0, 4, 2, RailPhase::kEven);
-    const MllResult r = mll_place(db, grid, t, 40.0, 5.0);
+    const MllPlan r = mll_place(db, grid, t, 40.0, 5.0);
     ASSERT_TRUE(r.success());
     EXPECT_EQ(r.y % 2, 0);  // even parity
     EXPECT_TRUE(check_legality(db, grid).legal);
@@ -57,7 +58,7 @@ TEST(Mll, RelaxedRailAllowsAnyRow) {
         add_unplaced(db, "t", 40.0, 5.0, 4, 2, RailPhase::kEven);
     MllOptions opts;
     opts.check_rail = false;
-    const MllResult r = mll_place(db, grid, t, 40.0, 5.0, opts);
+    const MllPlan r = mll_place(db, grid, t, 40.0, 5.0, opts);
     ASSERT_TRUE(r.success());
     EXPECT_EQ(r.y, 5);  // odd row allowed when relaxed
     LegalityOptions lopts;
@@ -71,7 +72,7 @@ TEST(Mll, FailsWhenRegionFull) {
     add_placed(db, grid, "a", 0, 0, 10, 1);
     add_placed(db, grid, "b", 10, 0, 10, 1);
     const CellId t = add_unplaced(db, "t", 5.0, 0.0, 4, 1);
-    const MllResult r = mll_place(db, grid, t, 5.0, 0.0);
+    const MllPlan r = mll_place(db, grid, t, 5.0, 0.0);
     EXPECT_FALSE(r.success());
     EXPECT_EQ(r.status, MllStatus::kNoInsertionPoint);
     // Abort semantics: nothing changed.
@@ -80,11 +81,30 @@ TEST(Mll, FailsWhenRegionFull) {
     EXPECT_EQ(db.cell(db.find_cell("b")).x(), 10);
 }
 
+TEST(Mll, MipFailureCountsLikeTheLegalizer) {
+    // FailsWhenRegionFull's design solved by the MIP: mll_place must count
+    // the failed attempt exactly as the legalizer's commit does.
+    Database db = empty_design(1, 20);
+    SegmentGrid grid = SegmentGrid::build(db);
+    add_placed(db, grid, "a", 0, 0, 10, 1);
+    add_placed(db, grid, "b", 10, 0, 10, 1);
+    const CellId t = add_unplaced(db, "t", 5.0, 0.0, 4, 1);
+    MllOptions opts;
+    opts.use_mip = true;
+    obs::Tracer tracer;
+    obs::ScopedTracer install(tracer);
+    const MllPlan r = mll_place(db, grid, t, 5.0, 0.0, opts);
+    EXPECT_EQ(r.status, MllStatus::kNoInsertionPoint);
+    EXPECT_EQ(tracer.counter("mll.attempts"), 1u);
+    EXPECT_EQ(tracer.counter("mll.no_insertion_point"), 1u);
+    EXPECT_FALSE(db.cell(t).placed());
+}
+
 TEST(Mll, FailsOffDie) {
     Database db = empty_design(4, 50);
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId t = add_unplaced(db, "t", 10.0, 100.0, 4, 1);
-    const MllResult r = mll_place(db, grid, t, 10.0, 100.0);
+    const MllPlan r = mll_place(db, grid, t, 10.0, 100.0);
     EXPECT_FALSE(r.success());
     EXPECT_EQ(r.status, MllStatus::kNoRegion);
 }
@@ -145,7 +165,7 @@ TEST(Mll, Figure5Scenario) {
         add_unplaced(db, "t", 4.0, 1.0, 3, 2, RailPhase::kOdd);
     MllOptions opts;
     opts.check_rail = false;  // the figure ignores parity
-    const MllResult r = mll_place(db, grid, t, 4.0, 1.0, opts);
+    const MllPlan r = mll_place(db, grid, t, 4.0, 1.0, opts);
     ASSERT_TRUE(r.success());
     LegalityOptions lopts;
     lopts.check_rail_alignment = false;
@@ -177,7 +197,7 @@ TEST(Mll, ApproxAndExactBothLegalExactNoWorse) {
                 dd.db, "target", px, py, w, h, phase);
             MllOptions opts;
             opts.exact_evaluation = mode == 1;
-            const MllResult r =
+            const MllPlan r =
                 mll_place(dd.db, dd.grid, t, px, py, opts);
             if (!r.success()) {
                 costs[0] = costs[1] = -1;
@@ -208,7 +228,7 @@ TEST(Mll, ManySequentialInsertionsStayLegal) {
         const double py = static_cast<double>(rng.uniform(0, 8));
         const CellId t = add_unplaced(db, "c" + std::to_string(i), px, py,
                                       w, dbl ? 2 : 1);
-        const MllResult r = mll_place(db, grid, t, px, py);
+        const MllPlan r = mll_place(db, grid, t, px, py);
         placed += r.success() ? 1 : 0;
         if (i % 25 == 0) {
             LegalityOptions lopts;

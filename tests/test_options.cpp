@@ -23,7 +23,7 @@ TEST(Options, MllMaxPointsTruncationIsReported) {
     const CellId t = add_unplaced(db, "t", 200.0, 0.0, 2, 1);
     MllOptions opts;
     opts.max_points = 3;
-    const MllResult r = mll_place(db, grid, t, 200.0, 0.0, opts);
+    const MllPlan r = mll_place(db, grid, t, 200.0, 0.0, opts);
     ASSERT_TRUE(r.success());  // truncated but still places from the cap
     EXPECT_TRUE(r.enumeration_truncated);
     EXPECT_LE(r.num_points, 3u);
@@ -41,7 +41,7 @@ TEST(Options, MllWindowRadiiChangeRegionSize) {
     MllOptions small;
     small.rx = 5;
     small.ry = 0;
-    const MllResult rs = mll_place(db, grid, t, 100.0, 5.0, small);
+    const MllPlan rs = mll_place(db, grid, t, 100.0, 5.0, small);
     ASSERT_TRUE(rs.success());
     const std::size_t small_locals = rs.num_local_cells;
     mll_undo(db, grid, t, rs);
@@ -49,7 +49,7 @@ TEST(Options, MllWindowRadiiChangeRegionSize) {
     MllOptions big;
     big.rx = 90;
     big.ry = 5;
-    const MllResult rb = mll_place(db, grid, t, 100.0, 5.0, big);
+    const MllPlan rb = mll_place(db, grid, t, 100.0, 5.0, big);
     ASSERT_TRUE(rb.success());
     EXPECT_GT(rb.num_local_cells, small_locals);
 }

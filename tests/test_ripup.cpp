@@ -35,7 +35,7 @@ TEST(Ripup, RescuesStarvedDoubleHeightCell) {
     Starved s = starved_design();
     // Plain MLL fails everywhere (rows 1-2 are full; pairs (0,1), (1,2),
     // (2,3) all include a full row; parity restricts to odd base rows).
-    const MllResult m = mll_place(s.db, s.grid, s.stuck, 18.0, 1.0);
+    const MllPlan m = mll_place(s.db, s.grid, s.stuck, 18.0, 1.0);
     ASSERT_FALSE(m.success());
 
     RipupResult r = ripup_place(s.db, s.grid, s.stuck, 18.0, 1.0);

@@ -64,7 +64,7 @@ TEST(RowOrigins, MllPlacesWithinStaircase) {
     // Preferred position left of row 5's origin: MLL must clamp into the
     // covered region.
     const CellId t = add_unplaced(db, "t", 1.0, 5.0, 4, 1);
-    const MllResult r = mll_place(db, grid, t, 1.0, 5.0);
+    const MllPlan r = mll_place(db, grid, t, 1.0, 5.0);
     ASSERT_TRUE(r.success());
     const Cell& cell = db.cell(t);
     const Row& row = db.floorplan().row(cell.y());

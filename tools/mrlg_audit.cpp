@@ -21,7 +21,6 @@
 ///     --level L         off|cheap|full (default: MRLG_VALIDATE, else full)
 ///     --report FILE     write the JSON run report (docs/REPORT.md)
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -57,8 +56,9 @@ bool has_flag(int argc, char** argv, const char* key) {
     return false;
 }
 
-/// Reads --singles, --doubles (non-negative integers) and --density (in
-/// the generator's (0, kMaxDensity)) into `p`; false on a bad value.
+/// Reads --singles, --doubles, --seed (non-negative integers) and
+/// --density (in the generator's (0, kMaxDensity)) into `p`; false on a
+/// bad value.
 bool gen_flags_ok(int argc, char** argv, GenProfile& p) {
     const char* s = find_arg(argc, argv, "--singles");
     if (s != nullptr && !parse_count(s, p.num_single)) {
@@ -67,6 +67,14 @@ bool gen_flags_ok(int argc, char** argv, GenProfile& p) {
     s = find_arg(argc, argv, "--doubles");
     if (s != nullptr && !parse_count(s, p.num_double)) {
         return false;
+    }
+    s = find_arg(argc, argv, "--seed");
+    std::size_t seed = 0;
+    if (s != nullptr) {
+        if (!parse_count(s, seed)) {
+            return false;
+        }
+        p.seed = seed;
     }
     s = find_arg(argc, argv, "--density");
     if (s != nullptr && !parse_double(s, p.density)) {
@@ -94,9 +102,6 @@ int main(int argc, char** argv) {
         p.name = "audit-gen";
         if (!gen_flags_ok(argc, argv, p)) {
             return usage();
-        }
-        if (const char* s = find_arg(argc, argv, "--seed")) {
-            p.seed = static_cast<std::uint64_t>(std::atoll(s));
         }
         GenResult gen = generate_benchmark(p);
         db = std::move(gen.db);

@@ -10,8 +10,7 @@
 ///   mrlg_fuzz [options]
 ///   mrlg_fuzz --replay repro.aux
 ///     --seed S          master seed                    (default 1)
-///     --iters N         iterations per scenario        (default 50,
-///                       or the MRLG_FUZZ_ITERS environment variable)
+///     --iters N         iterations per scenario        (default 50)
 ///     --threads T       MLL scan threads, 0 = env default (default 0)
 ///     --scenario NAME   restrict to one scenario:
 ///                       legality|local|mll|ripup|design (default: all)
@@ -25,7 +24,6 @@
 ///     --replay FILE.aux replay a dumped repro instead of fuzzing
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <limits>
@@ -102,9 +100,6 @@ int main(int argc, char** argv) {
     }
 
     qa::FuzzOptions opts;
-    if (const char* env = std::getenv("MRLG_FUZZ_ITERS")) {
-        opts.iters = std::atoi(env);
-    }
     const auto max_int =
         static_cast<std::size_t>(std::numeric_limits<int>::max());
     if (!count_flag(argc, argv, "--seed",

@@ -31,7 +31,6 @@
 ///     --quiet           suppress the stdout summary
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <limits>
@@ -151,11 +150,10 @@ int main(int argc, char** argv) {
         p.num_single = 2000;
         p.num_double = 200;
         p.density = 0.6;
-        if (!gen_flags_ok(argc, argv, p)) {
+        if (!gen_flags_ok(argc, argv, p) ||
+            !count_flag(argc, argv, "--gen-seed",
+                        std::numeric_limits<std::uint64_t>::max(), p.seed)) {
             return usage();
-        }
-        if (const char* s = find_arg(argc, argv, "--gen-seed")) {
-            p.seed = static_cast<std::uint64_t>(std::atoll(s));
         }
         GenResult gen = generate_benchmark(p);
         db = std::move(gen.db);
