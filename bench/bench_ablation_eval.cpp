@@ -4,12 +4,13 @@
 /// legalizer with approximate vs exact evaluation on a subset of Table 1
 /// profiles and reports displacement gap and runtime ratio.
 ///
-/// Flags: --scale F (default 0.02), --seed N
+/// Flags: --scale F in (0, 1] (default 0.02), --seed N (default 0)
 
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "io/profiles.hpp"
+#include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/str.hpp"
 #include "util/table.hpp"
@@ -18,10 +19,16 @@ using namespace mrlg;
 using namespace mrlg::bench;
 
 int main(int argc, char** argv) {
-    Args args(argc, argv);
+    Flags flags(argc, argv);
+    double scale = 0.02;
+    flags.real("--scale", scale, 0.0, kMaxScale, Flags::Upper::kClosed);
+    int seed_offset = 0;
+    flags.count("--seed", seed_offset);
+    if (!flags.ok()) {
+        return flags.usage(
+            "usage: bench_ablation_eval [--scale F] [--seed N]\n");
+    }
     set_log_level(LogLevel::kWarn);
-    const double scale = args.get_double("--scale", 0.02);
-    const int seed_offset = args.get_int("--seed", 0);
 
     // A spread of densities: low, mid, high.
     const std::vector<std::size_t> picks = {14, 3, 8, 4, 0};

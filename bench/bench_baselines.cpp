@@ -13,6 +13,7 @@
 #include "eval/metrics.hpp"
 #include "legalize/abacus.hpp"
 #include "legalize/greedy.hpp"
+#include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
@@ -37,10 +38,13 @@ GenProfile profile_for(double density, std::size_t cells, bool multi_row) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    Args args(argc, argv);
+    Flags flags(argc, argv);
+    std::size_t cells = 4000;
+    flags.count("--cells", cells);
+    if (!flags.ok()) {
+        return flags.usage("usage: bench_baselines [--cells N]\n");
+    }
     set_log_level(LogLevel::kWarn);
-    const std::size_t cells =
-        static_cast<std::size_t>(args.get_int("--cells", 4000));
 
     std::cout << "=== Ablation D1: greedy (no placed-cell movement) vs MLL "
                  "across density (paper 1's motivation) ===\n";

@@ -1,56 +1,11 @@
 #include "bench_common.hpp"
 
-#include <cstdlib>
-
 #include "eval/legality.hpp"
 #include "eval/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 
 namespace mrlg::bench {
-
-Args::Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-        argv_.emplace_back(argv[i]);
-    }
-}
-
-double Args::get_double(const std::string& key, double def) const {
-    for (std::size_t i = 0; i + 1 < argv_.size(); ++i) {
-        if (argv_[i] == key) {
-            return std::atof(argv_[i + 1].c_str());
-        }
-    }
-    return def;
-}
-
-int Args::get_int(const std::string& key, int def) const {
-    for (std::size_t i = 0; i + 1 < argv_.size(); ++i) {
-        if (argv_[i] == key) {
-            return std::atoi(argv_[i + 1].c_str());
-        }
-    }
-    return def;
-}
-
-bool Args::has_flag(const std::string& key) const {
-    for (const auto& a : argv_) {
-        if (a == key) {
-            return true;
-        }
-    }
-    return false;
-}
-
-std::string Args::get_string(const std::string& key,
-                             const std::string& def) const {
-    for (std::size_t i = 0; i + 1 < argv_.size(); ++i) {
-        if (argv_[i] == key) {
-            return argv_[i + 1];
-        }
-    }
-    return def;
-}
 
 void reset_placement(Database& db, SegmentGrid& grid) {
     for (const CellId c : db.movable_cells()) {

@@ -1,8 +1,8 @@
 #pragma once
-/// Shared harness utilities for the experiment benches: flag parsing,
-/// design preparation, one-shot legalization runs with metric collection,
-/// and a minimal JSON emitter for machine-readable benchmark trajectories
-/// (`--json <path>`).
+/// Shared harness utilities for the experiment benches: design
+/// preparation, one-shot legalization runs with metric collection, and a
+/// minimal JSON emitter for machine-readable benchmark trajectories
+/// (`--json <path>`). Their flags go through util/cli.hpp.
 
 #include <cstdint>
 #include <memory>
@@ -18,20 +18,6 @@
 #include "obs/json.hpp"
 
 namespace mrlg::bench {
-
-/// Minimal flag parser: --key value / --flag.
-class Args {
-public:
-    Args(int argc, char** argv);
-    double get_double(const std::string& key, double def) const;
-    int get_int(const std::string& key, int def) const;
-    bool has_flag(const std::string& key) const;
-    std::string get_string(const std::string& key,
-                           const std::string& def) const;
-
-private:
-    std::vector<std::string> argv_;
-};
 
 /// Metrics of one legalization run (one cell of a Table 1 row).
 struct RunMetrics {

@@ -3,7 +3,7 @@
 /// and runtime of the median-move optimizer with instant legalization on
 /// Table 1 profiles, aligned vs relaxed power rails.
 ///
-/// Flags: --scale F (default 0.01), --passes N (default 2)
+/// Flags: --scale F in (0, 1] (default 0.01), --passes N (default 2)
 
 #include <iostream>
 
@@ -12,6 +12,7 @@
 #include "dp/row_polish.hpp"
 #include "eval/metrics.hpp"
 #include "io/profiles.hpp"
+#include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/str.hpp"
 #include "util/table.hpp"
@@ -20,10 +21,15 @@ using namespace mrlg;
 using namespace mrlg::bench;
 
 int main(int argc, char** argv) {
-    Args args(argc, argv);
+    Flags flags(argc, argv);
+    double scale = 0.01;
+    flags.real("--scale", scale, 0.0, kMaxScale, Flags::Upper::kClosed);
+    int passes = 2;
+    flags.count("--passes", passes);
+    if (!flags.ok()) {
+        return flags.usage("usage: bench_detailed [--scale F] [--passes N]\n");
+    }
     set_log_level(LogLevel::kWarn);
-    const double scale = args.get_double("--scale", 0.01);
-    const int passes = args.get_int("--passes", 2);
 
     const std::vector<std::size_t> picks = {4, 3, 8, 0};  // fft_1 etc.
 

@@ -5,11 +5,13 @@
 /// the legalizer keeps succeeding with bounded displacement as taller,
 /// parity-constrained cells are added.
 ///
-/// Flags: --cells N (default 4000), --density F (default 0.6)
+/// Flags: --cells N (default 4000), --density F in (0, 0.96)
+/// (default 0.6)
 
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/str.hpp"
 #include "util/table.hpp"
@@ -18,11 +20,16 @@ using namespace mrlg;
 using namespace mrlg::bench;
 
 int main(int argc, char** argv) {
-    Args args(argc, argv);
+    Flags flags(argc, argv);
+    std::size_t cells = 4000;
+    flags.count("--cells", cells);
+    double density = 0.6;
+    flags.real("--density", density, 0.0, GenProfile::kMaxDensity,
+               Flags::Upper::kOpen);
+    if (!flags.ok()) {
+        return flags.usage("usage: bench_heights [--cells N] [--density F]\n");
+    }
     set_log_level(LogLevel::kWarn);
-    const std::size_t cells =
-        static_cast<std::size_t>(args.get_int("--cells", 4000));
-    const double density = args.get_double("--density", 0.6);
 
     struct Mix {
         const char* name;

@@ -18,8 +18,8 @@
 ///
 /// Flags:
 ///   --json PATH    output file (default BENCH_parallel.json)
-///   --threads CSV  thread counts to sweep (default "1,2,4,8")
-///   --scale F      cell-count scale factor (default 1.0)
+///   --threads CSV  positive thread counts to sweep (default "1,2,4,8")
+///   --scale F      cell-count scale factor in (0, 1] (default 1.0)
 ///   --seed N       generator seed offset (default 0)
 ///   --approx-only / --exact-only   restrict the evaluation modes
 ///   --large-only   run only the largest design
@@ -35,6 +35,7 @@
 #include "eval/metrics.hpp"
 #include "io/profiles.hpp"
 #include "obs/timeline.hpp"
+#include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/str.hpp"
 #include "util/thread_pool.hpp"
@@ -44,28 +45,6 @@ using namespace mrlg;
 using namespace mrlg::bench;
 
 namespace {
-
-std::vector<int> parse_threads(const std::string& csv) {
-    std::vector<int> out;
-    std::size_t pos = 0;
-    while (pos < csv.size()) {
-        const std::size_t comma = csv.find(',', pos);
-        const std::string tok =
-            csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        const int v = std::atoi(tok.c_str());
-        if (v > 0) {
-            out.push_back(v);
-        }
-        if (comma == std::string::npos) {
-            break;
-        }
-        pos = comma + 1;
-    }
-    if (out.empty()) {
-        out = {1, 2, 4, 8};
-    }
-    return out;
-}
 
 std::vector<std::pair<SiteCoord, SiteCoord>> snapshot(const Database& db) {
     std::vector<std::pair<SiteCoord, SiteCoord>> pos;
@@ -84,29 +63,39 @@ struct Series {
 }  // namespace
 
 int main(int argc, char** argv) {
-    Args args(argc, argv);
-    set_log_level(LogLevel::kWarn);
+    Flags flags(argc, argv);
+    const char* json_arg = flags.value("--json");
     const std::string json_path =
-        args.get_string("--json", "BENCH_parallel.json");
-    const std::vector<int> threads =
-        parse_threads(args.get_string("--threads", "1,2,4,8"));
-    const double scale = args.get_double("--scale", 1.0);
-    const int seed_offset = args.get_int("--seed", 0);
+        json_arg != nullptr ? json_arg : "BENCH_parallel.json";
+    std::vector<int> threads = {1, 2, 4, 8};
+    flags.int_list("--threads", threads);
+    double scale = 1.0;
+    flags.real("--scale", scale, 0.0, kMaxScale, Flags::Upper::kClosed);
+    int seed_offset = 0;
+    flags.count("--seed", seed_offset);
+    const char* trace_path = flags.value("--trace");
+    if (!flags.ok()) {
+        return flags.usage(
+            "usage: bench_parallel [--json PATH] [--threads CSV] [--scale F]"
+            " [--seed N]\n"
+            "       [--approx-only | --exact-only] [--large-only]"
+            " [--trace PATH]\n");
+    }
+    set_log_level(LogLevel::kWarn);
 
     std::vector<std::string> designs = parallel_profile_names();
-    if (args.has_flag("--large-only")) {
+    if (flags.has("--large-only")) {
         designs = {designs.back()};
     }
-    const std::string trace_path = args.get_string("--trace", "");
     // The timeline is installed ONLY with --trace: default bench runs
     // measure the true zero-observer cost of the instrumented hot paths.
     std::unique_ptr<obs::Timeline> timeline;
     std::unique_ptr<obs::ScopedTimeline> timeline_guard;
     std::vector<bool> modes;  // true = exact evaluation
-    if (!args.has_flag("--exact-only")) {
+    if (!flags.has("--exact-only")) {
         modes.push_back(false);
     }
-    if (!args.has_flag("--approx-only")) {
+    if (!flags.has("--approx-only")) {
         modes.push_back(true);
     }
     const Series series[] = {
@@ -140,7 +129,7 @@ int main(int argc, char** argv) {
                 double baseline_time = 0.0;
                 for (const int t : threads) {
                     reset_placement(db, grid);
-                    if (!trace_path.empty()) {
+                    if (trace_path != nullptr) {
                         // Fresh timeline per run; the last run's events are
                         // what ends up in the trace file.
                         timeline_guard.reset();
@@ -242,7 +231,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     std::cerr << "wrote " << json_path << "\n";
-    if (!trace_path.empty() && timeline != nullptr) {
+    if (trace_path != nullptr && timeline != nullptr) {
         if (!obs::write_chrome_trace(trace_path, *timeline,
                                      "bench_parallel")) {
             return 1;

@@ -5,16 +5,19 @@
 /// under both the power-line-aligned and relaxed constraints.
 ///
 /// Flags:
-///   --scale F     cell-count scale vs the paper (default 0.02)
+///   --scale F     cell-count scale vs the paper, in (0, 1] (default 0.02)
 ///   --seed N      generator seed offset (default 0)
 ///   --aligned-only / --relaxed-only
+///   --only NAME   run only the named benchmark
 ///   --skip-ilp    only run MLL (exact solver is ~1-2 orders slower)
+///   --true-ilp    the ILP column uses the MIP local solver
 ///   --csv         emit CSV instead of the aligned table
 
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "io/profiles.hpp"
+#include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/str.hpp"
 #include "util/table.hpp"
@@ -89,26 +92,35 @@ void print_block(const std::string& title,
 }  // namespace
 
 int main(int argc, char** argv) {
-    Args args(argc, argv);
+    Flags flags(argc, argv);
+    double scale = 0.02;
+    flags.real("--scale", scale, 0.0, kMaxScale, Flags::Upper::kClosed);
+    int seed_offset = 0;
+    flags.count("--seed", seed_offset);
+    const char* only = flags.value("--only");
+    if (!flags.ok()) {
+        return flags.usage(
+            "usage: bench_table1 [--scale F] [--seed N] [--aligned-only |"
+            " --relaxed-only]\n"
+            "       [--only NAME] [--skip-ilp] [--true-ilp] [--csv]\n");
+    }
     set_log_level(LogLevel::kWarn);
-    const double scale = args.get_double("--scale", 0.02);
-    const bool skip_ilp = args.has_flag("--skip-ilp");
-    const bool csv = args.has_flag("--csv");
-    const int seed_offset = args.get_int("--seed", 0);
+    const bool skip_ilp = flags.has("--skip-ilp");
+    const bool csv = flags.has("--csv");
+    const bool true_ilp = flags.has("--true-ilp");
 
     std::vector<bool> modes;  // true = power-line aligned
-    if (!args.has_flag("--relaxed-only")) {
+    if (!flags.has("--relaxed-only")) {
         modes.push_back(true);
     }
-    if (!args.has_flag("--aligned-only")) {
+    if (!flags.has("--aligned-only")) {
         modes.push_back(false);
     }
 
-    const std::string only = args.get_string("--only", "");
     for (const bool aligned : modes) {
         std::vector<RowResult> rows;
         for (const Table1Entry& entry : table1_benchmarks(scale)) {
-            if (!only.empty() && entry.profile.name != only) {
+            if (only != nullptr && entry.profile.name != only) {
                 continue;
             }
             GenProfile profile = entry.profile;
@@ -133,7 +145,7 @@ int main(int argc, char** argv) {
                 reset_placement(db, grid);
                 LegalizerOptions ilp = ours;
                 ilp.mll.exact_evaluation = true;
-                ilp.mll.use_mip = args.has_flag("--true-ilp");
+                ilp.mll.use_mip = true_ilp;
                 row.ilp = run_legalization(db, grid, ilp);
             }
             std::cerr << "[" << (aligned ? "aligned" : "relaxed") << "] "

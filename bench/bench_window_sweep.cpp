@@ -3,12 +3,14 @@
 /// profile and reports displacement / runtime, showing the
 /// quality-vs-speed knee that motivates the paper's choice.
 ///
-/// Flags: --scale F (default 0.02), --profile N (index into Table 1)
+/// Flags: --scale F in (0, 1] (default 0.02), --profile N (index into
+/// Table 1's 20 rows, default 4: fft_1)
 
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "io/profiles.hpp"
+#include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/str.hpp"
 #include "util/table.hpp"
@@ -17,11 +19,16 @@ using namespace mrlg;
 using namespace mrlg::bench;
 
 int main(int argc, char** argv) {
-    Args args(argc, argv);
+    Flags flags(argc, argv);
+    double scale = 0.02;
+    flags.real("--scale", scale, 0.0, kMaxScale, Flags::Upper::kClosed);
+    std::size_t pick = 4;  // fft_1
+    flags.count("--profile", pick, table1_benchmarks().size() - 1);
+    if (!flags.ok()) {
+        return flags.usage(
+            "usage: bench_window_sweep [--scale F] [--profile N]\n");
+    }
     set_log_level(LogLevel::kWarn);
-    const double scale = args.get_double("--scale", 0.02);
-    const std::size_t pick =
-        static_cast<std::size_t>(args.get_int("--profile", 4));  // fft_1
 
     const auto all = table1_benchmarks(scale);
     const GenProfile& profile = all[pick].profile;

@@ -5,8 +5,11 @@
 /// result in Bookshelf format.
 ///
 /// Usage: detailed_placement [cells] [density] [out_dir]
+///   cells    movable cells, a whole number (default 20000)
+///   density  target density in (0, 0.96) (default 0.6)
+/// Exit code: 0 when the result is legal, 1 when not, 2 on a malformed or
+/// out-of-range argument.
 
-#include <cstdlib>
 #include <iostream>
 
 #include "db/segment.hpp"
@@ -15,13 +18,21 @@
 #include "io/benchmark_gen.hpp"
 #include "io/bookshelf.hpp"
 #include "legalize/legalizer.hpp"
+#include "util/cli.hpp"
 
 int main(int argc, char** argv) {
     using namespace mrlg;
-    const std::size_t cells =
-        argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 20000;
-    const double density = argc > 2 ? std::atof(argv[2]) : 0.6;
-    const std::string out_dir = argc > 3 ? argv[3] : "";
+    Flags flags(argc, argv, {"cells", "density", "out_dir"});
+    std::size_t cells = 20000;
+    flags.count("cells", cells);
+    double density = 0.6;
+    flags.real("density", density, 0.0, GenProfile::kMaxDensity,
+               Flags::Upper::kOpen);
+    const char* out_dir = flags.value("out_dir");
+    if (!flags.ok()) {
+        return flags.usage(
+            "usage: detailed_placement [cells] [density] [out_dir]\n");
+    }
 
     // 1. Synthesize the design (cells, nets, macros, GP positions).
     GenProfile profile;
@@ -75,7 +86,7 @@ int main(int argc, char** argv) {
               << "x\n";
 
     // 4. Optionally export the legalized design.
-    if (!out_dir.empty()) {
+    if (out_dir != nullptr) {
         write_bookshelf(db, out_dir, profile.name, false);
         std::cout << "\nwrote " << out_dir << "/" << profile.name
                   << ".{aux,nodes,nets,pl,scl}\n";

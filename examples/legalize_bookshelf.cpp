@@ -13,13 +13,15 @@
 ///     --polish       run the single-row polish pass afterwards
 ///     --report       print the placement quality report
 ///     --rx N --ry N  MLL window radii, at most 2097151 (default 30 / 5)
-///     --demo         generate a small demo design instead of reading one
+///     --demo         generate the demo design instead of reading one
+///                    (mrlg_legalize --gen's 2200-cell default profile)
 ///     --lef L --def D  read an ISPD2015-style LEF/DEF pair instead
-/// Exit code: 0 on success, 1 on failure, 2 on usage or parse errors.
+/// Exit code: 0 on success, 1 on failure, 2 on usage or parse errors (a
+/// missing, malformed or out-of-range value is a usage error).
 
-#include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 
 #include "db/segment.hpp"
 #include "dp/detailed_placer.hpp"
@@ -27,122 +29,47 @@
 #include "eval/legality.hpp"
 #include "eval/metrics.hpp"
 #include "eval/report.hpp"
-#include "io/benchmark_gen.hpp"
 #include "io/bookshelf.hpp"
-#include "io/lefdef.hpp"
+#include "io/design_source.hpp"
 #include "io/svg.hpp"
 #include "legalize/legalizer.hpp"
-#include "util/str.hpp"
+#include "util/cli.hpp"
 
 using namespace mrlg;
 
 namespace {
 
-const char* find_arg(int argc, char** argv, const char* key) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], key) == 0) {
-            return argv[i + 1];
-        }
-    }
-    return nullptr;
-}
-
-bool has_flag(int argc, char** argv, const char* key) {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], key) == 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
-/// Reads `key`'s value, when the flag is given, as a whole number no
-/// larger than `max`; false on a malformed or larger value.
-bool radius_flag(int argc, char** argv, const char* key, std::size_t max,
-                 SiteCoord& out) {
-    const char* s = find_arg(argc, argv, key);
-    std::size_t v = 0;
-    if (s == nullptr) {
-        return true;
-    }
-    if (!parse_count(s, v) || v > max) {
-        return false;
-    }
-    out = static_cast<SiteCoord>(v);
-    return true;
-}
-
-/// Reads --rx and --ry into `opts`; false on a bad value. The cap is
-/// mrlg_legalize's, kSiteCoordMax / (4·max_rounds), under which no derived
-/// window or jitter coordinate can overflow.
-bool radius_flags_ok(int argc, char** argv, LegalizerOptions& opts) {
-    const auto max_radius = static_cast<std::size_t>(
-        kSiteCoordMax / (4 * static_cast<SiteCoord>(opts.max_rounds)));
-    return radius_flag(argc, argv, "--rx", max_radius, opts.mll.rx) &&
-           radius_flag(argc, argv, "--ry", max_radius, opts.mll.ry);
-}
-
-int usage() {
-    std::cerr << "usage: legalize_bookshelf <design.aux> | --lef L --def D"
-                 " | --demo\n"
-                 "       [--out DIR] [--svg FILE] [--relaxed] [--exact]"
-                 " [--dp] [--swap]\n"
-                 "       [--polish] [--report] [--rx N] [--ry N]\n";
-    return 2;
-}
+constexpr const char* kUsage =
+    "usage: legalize_bookshelf <design.aux> | --lef L --def D | --demo\n"
+    "       [--out DIR] [--svg FILE] [--relaxed] [--exact] [--dp] [--swap]\n"
+    "       [--polish] [--report] [--rx N] [--ry N]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
+    Flags flags(argc, argv);
     LegalizerOptions opts;
-    if (!radius_flags_ok(argc, argv, opts)) {
-        return usage();
-    }
-    opts.mll.check_rail = !has_flag(argc, argv, "--relaxed");
-    opts.mll.exact_evaluation = has_flag(argc, argv, "--exact");
+    flags.count("--rx", opts.mll.rx, max_window_radius(opts));
+    flags.count("--ry", opts.mll.ry, max_window_radius(opts));
+    opts.mll.check_rail = !flags.has("--relaxed");
+    opts.mll.exact_evaluation = flags.has("--exact");
+    const char* out = flags.value("--out");
+    const char* svg = flags.value("--svg");
 
-    Database db;
-    std::string design = "design";
-    LefLibrary lef;          // populated in LEF/DEF mode
-    bool lefdef_mode = false;
-    if (find_arg(argc, argv, "--lef") != nullptr &&
-        find_arg(argc, argv, "--def") != nullptr) {
-        // ISPD2015-style input: --lef tech.lef --def design.def
-        try {
-            lef = read_lef(find_arg(argc, argv, "--lef"));
-            DefReadResult r = read_def(find_arg(argc, argv, "--def"), lef);
-            db = std::move(r.db);
-            design = r.design_name;
-            lefdef_mode = true;
-        } catch (const LefDefError& e) {
-            std::cerr << "parse error: " << e.what() << "\n";
-            return 2;
-        }
-        db.freeze_fixed_cells();
-    } else if (has_flag(argc, argv, "--demo")) {
-        GenProfile p;
-        p.name = "demo";
-        p.num_single = 2000;
-        p.num_double = 200;
-        p.density = 0.6;
-        GenResult gen = generate_benchmark(p);
-        db = std::move(gen.db);
-        design = "demo";
-    } else {
-        if (argc < 2 || argv[1][0] == '-') {
-            // (reached only when neither --demo nor --lef/--def was given)
-            return usage();
-        }
-        try {
-            BookshelfReadResult r = read_bookshelf(argv[1]);
-            db = std::move(r.db);
-            design = r.design_name;
-        } catch (const ParseError& e) {
-            std::cerr << "parse error: " << e.what() << "\n";
-            return 2;
-        }
-        db.freeze_fixed_cells();
+    std::optional<LoadedDesign> loaded;
+    if (!flags.has("--demo")) {
+        loaded = load_design(flags);
+    } else if (flags.ok()) {
+        loaded = generate_design(cli_gen_profile("demo"));
     }
+    if (!flags.ok()) {
+        return flags.usage(kUsage);
+    }
+    if (!loaded) {
+        return 2;  // parse error, already reported
+    }
+    Database& db = loaded->db;
+    const std::string& design = loaded->name;
 
     SegmentGrid grid = SegmentGrid::build(db);
 
@@ -173,21 +100,21 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    if (has_flag(argc, argv, "--dp")) {
+    if (flags.has("--dp")) {
         const DetailedPlacementStats d = detailed_place(db, grid);
         std::cout << "  detailed placement: " << d.moves_accepted << "/"
                   << d.moves_attempted << " moves, HPWL -"
                   << d.improvement_pct() << " % in " << d.runtime_s
                   << " s\n";
     }
-    if (has_flag(argc, argv, "--swap")) {
+    if (flags.has("--swap")) {
         const SwapStats ss = swap_pass(db, grid);
         std::cout << "  global swap: " << ss.swaps_accepted << "/"
                   << ss.swaps_attempted << " swaps, HPWL "
                   << ss.hpwl_before_um * 1e-6 << " m -> "
                   << ss.hpwl_after_um * 1e-6 << " m\n";
     }
-    if (has_flag(argc, argv, "--polish")) {
+    if (flags.has("--polish")) {
         const RowPolishStats rp = row_polish(db, grid);
         std::cout << "  row polish: " << rp.segments_accepted
                   << " segments improved, HPWL -" << rp.improvement_pct()
@@ -195,17 +122,17 @@ int main(int argc, char** argv) {
                   << " segments untouchable due to multi-row cells)\n";
     }
 
-    if (has_flag(argc, argv, "--report")) {
+    if (flags.has("--report")) {
         print_quality_report(
             make_quality_report(db, grid, opts.mll.check_rail), std::cout);
     }
 
-    if (const char* out = find_arg(argc, argv, "--out")) {
-        if (lefdef_mode) {
+    if (out != nullptr) {
+        if (loaded->from_def) {
             std::filesystem::create_directories(out);
             const std::string def_path =
                 std::string(out) + "/" + design + "_legal.def";
-            write_def(db, lef, def_path, design + "_legal");
+            write_def(db, loaded->lef, def_path, design + "_legal");
             std::cout << "  wrote " << def_path << "\n";
         } else {
             write_bookshelf(db, out, design + "_legal", false);
@@ -213,7 +140,7 @@ int main(int argc, char** argv) {
                       << "_legal.aux\n";
         }
     }
-    if (const char* svg = find_arg(argc, argv, "--svg")) {
+    if (svg != nullptr) {
         SvgOptions sopts;
         sopts.draw_gp_arrows = db.num_cells() < 5000;
         if (write_svg(db, svg, sopts)) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/assert.hpp"
+
 namespace mrlg {
 
 namespace {
@@ -27,6 +29,8 @@ Table1Entry make(const char* name, std::size_t s_cells, std::size_t d_cells,
 }  // namespace
 
 std::vector<Table1Entry> table1_benchmarks(double scale) {
+    MRLG_ASSERT(scale > 0.0 && scale <= kMaxScale,
+                "profile scale must be in (0, kMaxScale]");
     // Columns from Table 1 ("Power Line Aligned"):
     // {GP HPWL(m), Disp ILP, Disp Ours, dHPWL% ILP, dHPWL% Ours,
     //  RT ILP, RT Ours}
@@ -87,6 +91,8 @@ std::vector<Table1Entry> table1_benchmarks(double scale) {
 
 bool parallel_profile(const std::string& name, double scale,
                       int seed_offset, GenProfile& out) {
+    MRLG_ASSERT(scale > 0.0 && scale <= kMaxScale,
+                "profile scale must be in (0, kMaxScale]");
     struct Spec {
         const char* name;
         std::size_t num_single;

@@ -27,6 +27,10 @@ struct Table1Entry {
     Table1Paper paper;    ///< Power-line-aligned published results.
 };
 
+/// Inclusive upper bound on a profile `scale`: 1.0 is paper size, and a
+/// scale must be in (0, kMaxScale].
+inline constexpr double kMaxScale = 1.0;
+
 /// All 20 Table 1 rows. `scale` scales the cell counts (1.0 = paper size;
 /// benches default to a laptop-friendly fraction). Counts are floored at
 /// 400 single / 40 double cells so small scales stay meaningful.
@@ -34,8 +38,9 @@ std::vector<Table1Entry> table1_benchmarks(double scale = 1.0);
 
 /// The synthetic thread-scaling design family shared by bench_parallel
 /// and tools/mrlg_profile: parallel_s (2.2k cells), parallel_m (8.8k),
-/// parallel_l (26.4k), generator seed 11 + `seed_offset`. Returns false
-/// when `name` is not one of the family (out is untouched).
+/// parallel_l (26.4k) at scale 1, generator seed 11 + `seed_offset`;
+/// `scale` must be in (0, kMaxScale]. Returns false when `name` is not one
+/// of the family (out is untouched).
 bool parallel_profile(const std::string& name, double scale,
                       int seed_offset, GenProfile& out);
 

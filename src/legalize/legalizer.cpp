@@ -62,6 +62,10 @@ Point nearest_aligned_position(const Database& db, CellId cell_id, double px,
     return Point{x, y};
 }
 
+SiteCoord max_window_radius(const LegalizerOptions& opts) {
+    return kSiteCoordMax / (4 * static_cast<SiteCoord>(opts.max_rounds));
+}
+
 LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                                   const LegalizerOptions& opts) {
     MRLG_OBS_PHASE("legalize");
@@ -72,8 +76,11 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     Timer timer;
     LegalizerStats stats;
     Rng rng(opts.seed);
-    MRLG_ASSERT(opts.mll.rx >= 0 && opts.mll.ry >= 0,
-                "MLL window radii must be non-negative");
+    MRLG_ASSERT(opts.max_rounds >= 1, "max_rounds must be at least 1");
+    MRLG_ASSERT(opts.mll.rx >= 0 && opts.mll.ry >= 0 &&
+                    opts.mll.rx <= max_window_radius(opts) &&
+                    opts.mll.ry <= max_window_radius(opts),
+                "MLL window radii must be in [0, max_window_radius]");
 
     // Wall-clock execution timeline (two-tracer model, obs/timeline.hpp):
     // hoisted once so worker lambdas receive the pointer by capture and

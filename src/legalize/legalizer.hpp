@@ -121,9 +121,17 @@ struct LegalizerStats {
     double runtime_s = 0.0;
 };
 
+/// The largest MLL window radius (mll.rx or mll.ry) legalize_placement
+/// accepts: kSiteCoordMax / (4·max_rounds), for max_rounds >= 1. The
+/// widest jitter range r·(max_rounds − 1) plus the window width 2·r + w
+/// then stays within a quarter of kSiteCoordMax, and die coordinates and
+/// cell widths w keep the rest: no derived coordinate can overflow.
+SiteCoord max_window_radius(const LegalizerOptions& opts);
+
 /// Legalizes every movable cell of `db`. Fixed cells must already be
 /// frozen into the floorplan (Database::freeze_fixed_cells) and `grid`
-/// built afterwards.
+/// built afterwards. Asserts max_rounds >= 1 and window radii in
+/// [0, max_window_radius(opts)].
 LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                                   const LegalizerOptions& opts = {});
 

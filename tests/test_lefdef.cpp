@@ -2,8 +2,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "eval/legality.hpp"
+#include "io/benchmark_gen.hpp"
+#include "io/bookshelf.hpp"
+#include "io/design_source.hpp"
 #include "io/lefdef.hpp"
 #include "legalize/legalizer.hpp"
 #include "test_helpers.hpp"
@@ -30,7 +36,18 @@ protected:
         std::ofstream(p) << text;
         return p.string();
     }
+    /// Flags over `args`, with a program name prepended. The fixture keeps
+    /// the strings alive until the next call.
+    Flags flags_of(std::vector<std::string> args) {
+        args_ = std::move(args);
+        std::vector<const char*> argv = {"prog"};
+        for (const std::string& a : args_) {
+            argv.push_back(a.c_str());
+        }
+        return Flags(static_cast<int>(argv.size()), argv.data());
+    }
     fs::path dir_;
+    std::vector<std::string> args_;
 };
 
 const char* kLef = R"(
@@ -188,6 +205,69 @@ TEST_F(LefDefTest, DefRoundTripThroughWriter) {
 
 TEST_F(LefDefTest, MissingFileThrows) {
     EXPECT_THROW(read_lef((dir_ / "nope.lef").string()), LefDefError);
+}
+
+TEST_F(LefDefTest, LoadDesignReadsLefDef) {
+    Flags flags = flags_of({"--lef", write("a.lef", kLef), "--def",
+                            write("a.def", kDef), "--quiet"});
+    std::optional<LoadedDesign> d = load_design(flags);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_TRUE(flags.ok());
+    EXPECT_EQ(d->name, "top");
+    EXPECT_TRUE(d->from_def);
+    EXPECT_NE(d->lef.find_macro("FF2"), nullptr);  // kept for write_def
+    EXPECT_EQ(d->db.num_cells(), 4u);
+    // The fixed cell is frozen into the floorplan as a blockage.
+    EXPECT_EQ(d->db.floorplan().blockages().size(), 1u);
+    SegmentGrid grid = SegmentGrid::build(d->db);
+    EXPECT_TRUE(legalize_placement(d->db, grid).success);
+}
+
+TEST_F(LefDefTest, LoadDesignReadsABookshelfRoundTrip) {
+    GenProfile p;
+    p.name = "rt";
+    p.num_single = 60;
+    p.num_double = 6;
+    const GenResult gen = generate_benchmark(p);
+    write_bookshelf(gen.db, dir_.string(), "rt", /*use_gp_positions=*/true);
+    Flags flags = flags_of({(dir_ / "rt.aux").string(), "--quiet"});
+    std::optional<LoadedDesign> d = load_design(flags);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->name, "rt");
+    EXPECT_FALSE(d->from_def);
+    EXPECT_EQ(d->db.num_cells(), gen.db.num_cells());
+    EXPECT_EQ(d->db.num_multi_row_cells(), gen.db.num_multi_row_cells());
+}
+
+TEST_F(LefDefTest, LoadDesignReportsMissingFilesAsParseErrors) {
+    for (const std::vector<std::string>& args :
+         {std::vector<std::string>{(dir_ / "nope.aux").string()},
+          std::vector<std::string>{"--lef", (dir_ / "nope.lef").string(),
+                                   "--def", write("a.def", kDef)},
+          std::vector<std::string>{"--lef", write("a.lef", kLef), "--def",
+                                   (dir_ / "nope.def").string()}}) {
+        Flags flags = flags_of(args);
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(load_design(flags).has_value()) << args[0];
+        EXPECT_NE(testing::internal::GetCapturedStderr().find("parse error"),
+                  std::string::npos);
+        EXPECT_TRUE(flags.ok()) << args[0];  // not a usage error
+    }
+}
+
+TEST_F(LefDefTest, LoadDesignWithoutADesignIsAUsageError) {
+    for (const std::vector<std::string>& args :
+         {std::vector<std::string>{}, std::vector<std::string>{"--quiet"},
+          std::vector<std::string>{"--lef", "a.lef"}}) {
+        Flags flags = flags_of(args);
+        EXPECT_FALSE(load_design(flags).has_value());
+        EXPECT_EQ(flags.bad_key(), "<design.aux>");
+    }
+    // A bad flag read earlier stops the load before any file is opened.
+    Flags flags = flags_of({write("x.aux", "garbage"), "--rx"});
+    flags.value("--rx");
+    EXPECT_FALSE(load_design(flags).has_value());
+    EXPECT_EQ(flags.bad_key(), "--rx");
 }
 
 TEST_F(LefDefTest, UnknownMacroThrows) {

@@ -4,6 +4,7 @@
 #include "eval/metrics.hpp"
 #include "legalize/legalizer.hpp"
 #include "test_helpers.hpp"
+#include "util/assert.hpp"
 
 namespace mrlg::test {
 namespace {
@@ -63,6 +64,26 @@ TEST(Legalizer, EmptyDesignSucceedsTrivially) {
     const LegalizerStats s = legalize_placement(db, grid);
     EXPECT_TRUE(s.success);
     EXPECT_EQ(s.num_cells, 0u);
+}
+
+TEST(Legalizer, RejectsRadiusAboveCap) {
+    Rng rng(5);
+    Database db = scattered_design(rng, 10, 100, 20, 2);
+    SegmentGrid grid = SegmentGrid::build(db);
+    LegalizerOptions opts;
+    EXPECT_EQ(max_window_radius(opts), 2097151);  // at 64 rounds
+    opts.mll.rx = max_window_radius(opts) + 1;
+    EXPECT_THROW(legalize_placement(db, grid, opts), AssertionError);
+    opts.mll.rx = 30;
+    opts.mll.ry = max_window_radius(opts) + 1;
+    EXPECT_THROW(legalize_placement(db, grid, opts), AssertionError);
+    opts.mll.ry = 5;
+    opts.max_rounds = 0;
+    EXPECT_THROW(legalize_placement(db, grid, opts), AssertionError);
+    // The cap itself is accepted.
+    opts.max_rounds = 64;
+    opts.mll.rx = max_window_radius(opts);
+    EXPECT_TRUE(legalize_placement(db, grid, opts).success);
 }
 
 TEST(Legalizer, LegalizesScatteredDesign) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "test_helpers.hpp"
 #include "util/assert.hpp"
+#include "util/cli.hpp"
 #include "util/geometry.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
@@ -242,6 +246,153 @@ TEST(Str, ParseDoubleWholeStringOnly) {
         EXPECT_FALSE(parse_double(bad, d)) << bad;
         EXPECT_DOUBLE_EQ(d, -1e-3) << bad;
     }
+}
+
+// ---------------- cli ----------------
+
+/// Flags over `args`, with a program name prepended.
+Flags flags_of(std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    return Flags(static_cast<int>(args.size()), args.data());
+}
+
+TEST(Flags, AbsentKeyKeepsTheDefault) {
+    Flags f = flags_of({"--quiet"});
+    int n = 7;
+    double d = 0.5;
+    std::vector<int> list = {1, 2};
+    f.count("--seed", n);
+    f.real("--scale", d, 0.0, 1.0, Flags::Upper::kClosed);
+    f.int_list("--threads", list);
+    EXPECT_EQ(f.value("--out"), nullptr);
+    EXPECT_TRUE(f.ok());
+    EXPECT_EQ(n, 7);
+    EXPECT_DOUBLE_EQ(d, 0.5);
+    EXPECT_EQ(list, (std::vector<int>{1, 2}));
+}
+
+TEST(Flags, ReadsValuesAndSwitches) {
+    Flags f = flags_of({"--seed", "12", "--quiet", "--scale", "1",
+                        "--threads", "1,2,4", "--out", "dir"});
+    std::uint64_t seed = 0;
+    double scale = 0.5;
+    std::vector<int> threads;
+    f.count("--seed", seed);
+    f.real("--scale", scale, 0.0, 1.0, Flags::Upper::kClosed);
+    f.int_list("--threads", threads);
+    EXPECT_TRUE(f.ok());
+    EXPECT_TRUE(f.has("--quiet"));
+    EXPECT_FALSE(f.has("--gen"));
+    EXPECT_STREQ(f.value("--out"), "dir");
+    EXPECT_EQ(seed, 12u);
+    EXPECT_DOUBLE_EQ(scale, 1.0);
+    EXPECT_EQ(threads, (std::vector<int>{1, 2, 4}));
+}
+
+TEST(Flags, TrailingKeyWithoutValueIsBad) {
+    Flags f = flags_of({"--gen", "--quiet", "--rx"});
+    int rx = 30;
+    f.count("--rx", rx);
+    EXPECT_FALSE(f.ok());
+    EXPECT_EQ(f.bad_key(), "--rx");
+    EXPECT_EQ(rx, 30);
+    // A switch given last is fine.
+    EXPECT_TRUE(flags_of({"--gen", "--quiet"}).has("--quiet"));
+}
+
+TEST(Flags, MalformedCountsAreBad) {
+    for (const char* bad : {"abc", "12x", "-1", "", "1.5"}) {
+        Flags f = flags_of({"--seed", bad});
+        int n = 7;
+        f.count("--seed", n);
+        EXPECT_EQ(f.bad_key(), "--seed") << bad;
+        EXPECT_EQ(n, 7) << bad;
+    }
+}
+
+TEST(Flags, OutOfRangeCountsAreBad) {
+    Flags f = flags_of({"--rx", "41", "--ry", "40", "--threads",
+                        "2147483648"});
+    int rx = 30;
+    int ry = 5;
+    int threads = 0;
+    f.count("--ry", ry, 40);
+    EXPECT_TRUE(f.ok());
+    EXPECT_EQ(ry, 40);
+    f.count("--rx", rx, 40);
+    f.count("--threads", threads);  // above INT_MAX
+    EXPECT_EQ(f.bad_key(), "--rx");  // the first bad key is kept
+    EXPECT_EQ(rx, 30);
+    EXPECT_EQ(threads, 0);
+}
+
+TEST(Flags, RealsOutsideTheirIntervalAreBad) {
+    struct Case {
+        const char* text;
+        Flags::Upper upper;
+        bool ok;
+    };
+    for (const Case& c : {Case{"1", Flags::Upper::kClosed, true},
+                          Case{"1", Flags::Upper::kOpen, false},
+                          Case{"0.25", Flags::Upper::kOpen, true},
+                          Case{"0", Flags::Upper::kClosed, false},
+                          Case{"-1", Flags::Upper::kClosed, false},
+                          Case{"1e9", Flags::Upper::kClosed, false},
+                          Case{"nan", Flags::Upper::kClosed, false},
+                          Case{"abc", Flags::Upper::kClosed, false},
+                          Case{"0.5x", Flags::Upper::kClosed, false}}) {
+        Flags f = flags_of({"--scale", c.text});
+        double d = 0.5;
+        f.real("--scale", d, 0.0, 1.0, c.upper);
+        EXPECT_EQ(f.ok(), c.ok) << c.text;
+        if (!c.ok) {
+            EXPECT_DOUBLE_EQ(d, 0.5) << c.text;
+        }
+    }
+}
+
+TEST(Flags, IntListRejectsMalformedAndNonPositive) {
+    for (const char* bad : {"1,x", "0", "", "1,,2", "2,-1", "4,"}) {
+        Flags f = flags_of({"--threads", bad});
+        std::vector<int> list = {1, 2};
+        f.int_list("--threads", list);
+        EXPECT_EQ(f.bad_key(), "--threads") << bad;
+        EXPECT_EQ(list, (std::vector<int>{1, 2})) << bad;
+    }
+}
+
+TEST(Flags, PositionalArgumentsPrecedeTheFlags) {
+    const std::vector<const char*> args = {"prog", "100", "-3", "--quiet",
+                                           "x"};
+    Flags f(static_cast<int>(args.size()), args.data(),
+            {"cells", "density", "out_dir"});
+    EXPECT_STREQ(f.positional(0), "100");
+    EXPECT_STREQ(f.positional(1), "-3");
+    EXPECT_EQ(f.positional(2), nullptr);  // after the first flag
+    EXPECT_EQ(f.positional(3), nullptr);
+    EXPECT_EQ(f.value("out_dir"), nullptr);
+    EXPECT_EQ(flags_of({"--gen", "a.aux"}).positional(0), nullptr);
+
+    std::size_t cells = 0;
+    double density = 0.6;
+    f.count("cells", cells);
+    f.real("density", density, 0.0, 0.96, Flags::Upper::kOpen);
+    EXPECT_EQ(cells, 100u);
+    EXPECT_DOUBLE_EQ(density, 0.6);
+    EXPECT_EQ(f.bad_key(), "density");
+    EXPECT_TRUE(f.has("--quiet"));
+}
+
+TEST(Flags, UsageReturnsTheUsageExitCode) {
+    Flags f = flags_of({});
+    f.fail("--mode");
+    f.fail("--level");
+    EXPECT_EQ(f.bad_key(), "--mode");
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(f.usage("usage: prog\n"), 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("--mode"), std::string::npos);
+    EXPECT_NE(err.find("usage: prog"), std::string::npos);
 }
 
 // ---------------- table ----------------

@@ -4,7 +4,8 @@
 /// minimal repro and (optionally) dumps it as a replayable Bookshelf
 /// design. Bit-reproducible: the same --seed yields the same report at
 /// any --threads value. Exit code: 0 when all oracles agree, 1 on a
-/// divergence, 2 on usage errors.
+/// divergence, 2 on usage errors (including a missing, malformed or
+/// out-of-range value, or a value flag given last).
 ///
 /// Usage:
 ///   mrlg_fuzz [options]
@@ -23,107 +24,69 @@
 ///                       timeline of the campaign's parallel phases
 ///     --replay FILE.aux replay a dumped repro instead of fuzzing
 
-#include <cstdint>
-#include <cstring>
 #include <iostream>
-#include <limits>
 #include <string>
 
 #include "obs/run_report.hpp"
 #include "qa/fuzz.hpp"
-#include "util/str.hpp"
+#include "util/cli.hpp"
 
 using namespace mrlg;
 
 namespace {
 
-const char* find_arg(int argc, char** argv, const char* key) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], key) == 0) {
-            return argv[i + 1];
-        }
-    }
-    return nullptr;
-}
-
-bool has_flag(int argc, char** argv, const char* key) {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], key) == 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
-/// Reads `key`'s value, when the flag is given, as a whole non-negative
-/// integer no larger than `max`; false on a malformed or larger value.
-template <typename T>
-bool count_flag(int argc, char** argv, const char* key, std::size_t max,
-                T& out) {
-    const char* s = find_arg(argc, argv, key);
-    std::size_t v = 0;
-    if (s == nullptr) {
-        return true;
-    }
-    if (!parse_count(s, v) || v > max) {
-        return false;
-    }
-    out = static_cast<T>(v);
-    return true;
-}
-
-int usage() {
-    std::cerr << "usage: mrlg_fuzz [--seed S] [--iters N] [--threads T]\n"
-                 "       [--scenario legality|local|mll|ripup|design]\n"
-                 "       [--out DIR] [--no-shrink] [--no-ilp]\n"
-                 "       [--max-failures N] [--report FILE] [--trace FILE]\n"
-                 "       | --replay repro.aux\n";
-    return 2;
-}
+constexpr const char* kUsage =
+    "usage: mrlg_fuzz [--seed S] [--iters N] [--threads T]\n"
+    "       [--scenario legality|local|mll|ripup|design]\n"
+    "       [--out DIR] [--no-shrink] [--no-ilp]\n"
+    "       [--max-failures N] [--report FILE] [--trace FILE]\n"
+    "       | --replay repro.aux\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (const char* aux = find_arg(argc, argv, "--replay")) {
-        try {
-            const std::string diff = qa::replay_repro(aux);
-            if (diff.empty()) {
-                std::cout << aux << ": all oracles agree\n";
-                return 0;
-            }
-            std::cout << aux << ": " << diff << "\n";
-            return 1;
-        } catch (const std::exception& e) {
-            std::cerr << aux << ": " << e.what() << "\n";
-            return 2;
-        }
-    }
-
+    Flags flags(argc, argv);
     qa::FuzzOptions opts;
-    const auto max_int =
-        static_cast<std::size_t>(std::numeric_limits<int>::max());
-    if (!count_flag(argc, argv, "--seed",
-                    std::numeric_limits<std::uint64_t>::max(), opts.seed) ||
-        !count_flag(argc, argv, "--iters", max_int, opts.iters) ||
-        !count_flag(argc, argv, "--threads", max_int, opts.num_threads) ||
-        !count_flag(argc, argv, "--max-failures", max_int,
-                    opts.max_failures)) {
-        return usage();
+    flags.count("--seed", opts.seed);
+    flags.count("--iters", opts.iters);
+    flags.count("--threads", opts.num_threads);
+    flags.count("--max-failures", opts.max_failures);
+    if (opts.iters <= 0) {
+        flags.fail("--iters");
     }
-    if (const char* s = find_arg(argc, argv, "--out")) {
+    if (const char* s = flags.value("--out")) {
         opts.repro_dir = s;
     }
-    if (const char* s = find_arg(argc, argv, "--scenario")) {
+    if (const char* s = flags.value("--scenario")) {
         qa::FuzzScenario scen{};
-        if (!qa::scenario_from_string(s, scen)) {
-            return usage();
+        if (qa::scenario_from_string(s, scen)) {
+            opts.scenarios.push_back(scen);
+        } else {
+            flags.fail("--scenario");
         }
-        opts.scenarios.push_back(scen);
     }
-    opts.shrink = !has_flag(argc, argv, "--no-shrink");
-    opts.exercise_ilp = !has_flag(argc, argv, "--no-ilp");
-    if (opts.iters <= 0) {
-        return usage();
+    opts.shrink = !flags.has("--no-shrink");
+    opts.exercise_ilp = !flags.has("--no-ilp");
+    const char* report_path = flags.value("--report");
+    const char* trace_path = flags.value("--trace");
+    const char* replay = flags.value("--replay");
+    if (!flags.ok()) {
+        return flags.usage(kUsage);
+    }
+
+    if (replay != nullptr) {
+        try {
+            const std::string diff = qa::replay_repro(replay);
+            if (diff.empty()) {
+                std::cout << replay << ": all oracles agree\n";
+                return 0;
+            }
+            std::cout << replay << ": " << diff << "\n";
+            return 1;
+        } catch (const std::exception& e) {
+            std::cerr << replay << ": " << e.what() << "\n";
+            return 2;
+        }
     }
 
     obs::Tracer tracer;
@@ -135,20 +98,20 @@ int main(int argc, char** argv) {
         report = qa::run_fuzz(opts);
     }
     std::cout << "mrlg_fuzz seed " << opts.seed << ": " << report.summary();
-    if (const char* path = find_arg(argc, argv, "--report")) {
+    if (report_path != nullptr) {
         obs::RunReportSpec spec;
         spec.tool = "mrlg_fuzz";
         spec.design = "fuzz-seed-" + std::to_string(opts.seed);
         spec.num_threads = opts.num_threads;
         spec.tracer = &tracer;
         spec.timeline = &timeline;
-        if (!obs::write_run_report(path, spec)) {
+        if (!obs::write_run_report(report_path, spec)) {
             return 2;
         }
     }
-    if (const char* path = find_arg(argc, argv, "--trace")) {
+    if (trace_path != nullptr) {
         if (!obs::write_chrome_trace(
-                path, timeline,
+                trace_path, timeline,
                 "mrlg_fuzz seed " + std::to_string(opts.seed))) {
             return 2;
         }

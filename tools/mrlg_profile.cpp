@@ -12,10 +12,10 @@
 ///     --design CSV    parallel_s | parallel_m | parallel_l, comma
 ///                     separated for a multi-design baseline (default
 ///                     parallel_l)
-///     --threads CSV   thread counts to sweep      (default "1,2,4,8")
+///     --threads CSV   positive thread counts to sweep (default "1,2,4,8")
 ///     --mode M        approx | exact | both       (default approx)
-///     --scale F       cell-count scale factor     (default 1.0)
-///     --seed N        generator seed offset       (default 0)
+///     --scale F       cell-count scale factor in (0, 1] (default 1.0)
+///     --seed N        generator seed offset, >= 0 (default 0)
 ///     --json PATH     write the JSON bottleneck trajectory to PATH
 ///     --trace PATH    write the LAST run's Chrome trace-event / Perfetto
 ///                     JSON timeline to PATH
@@ -25,10 +25,10 @@
 /// obs/memres.hpp) around legalization and attaches them to the run's
 /// JSON entry — silently skipped when the kernel refuses the counters.
 /// Exit code: 0 on success, 1 when any run fails to legalize, 2 on usage
-/// errors.
+/// errors (an unknown design or mode, or a missing, malformed or
+/// out-of-range value).
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -41,6 +41,7 @@
 #include "legalize/legalizer.hpp"
 #include "obs/memres.hpp"
 #include "obs/timeline.hpp"
+#include "util/cli.hpp"
 #include "util/str.hpp"
 #include "util/thread_pool.hpp"
 
@@ -49,53 +50,11 @@ using obs::Json;
 
 namespace {
 
-const char* find_arg(int argc, char** argv, const char* key) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], key) == 0) {
-            return argv[i + 1];
-        }
-    }
-    return nullptr;
-}
-
-bool has_flag(int argc, char** argv, const char* key) {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], key) == 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
-int usage() {
-    std::cerr << "usage: mrlg_profile [--design parallel_s|parallel_m|"
-                 "parallel_l]\n"
-                 "       [--threads CSV] [--mode approx|exact|both]\n"
-                 "       [--scale F] [--seed N] [--json PATH]\n"
-                 "       [--trace PATH] [--quiet]\n";
-    return 2;
-}
-
-std::vector<int> parse_threads(const char* csv) {
-    std::vector<int> out;
-    const std::string s = csv != nullptr ? csv : "1,2,4,8";
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-        const std::size_t comma = s.find(',', pos);
-        const int v = std::atoi(s.substr(pos, comma - pos).c_str());
-        if (v > 0) {
-            out.push_back(v);
-        }
-        if (comma == std::string::npos) {
-            break;
-        }
-        pos = comma + 1;
-    }
-    if (out.empty()) {
-        out = {1, 2, 4, 8};
-    }
-    return out;
-}
+constexpr const char* kUsage =
+    "usage: mrlg_profile [--design parallel_s|parallel_m|parallel_l]\n"
+    "       [--threads CSV] [--mode approx|exact|both]\n"
+    "       [--scale F] [--seed N] [--json PATH]\n"
+    "       [--trace PATH] [--quiet]\n";
 
 void unplace_all(Database& db, SegmentGrid& grid) {
     for (const CellId c : db.movable_cells()) {
@@ -103,24 +62,6 @@ void unplace_all(Database& db, SegmentGrid& grid) {
             grid.remove(db, c);
         }
     }
-}
-
-std::vector<std::string> parse_designs(const char* csv) {
-    std::vector<std::string> out;
-    const std::string s = csv != nullptr ? csv : "parallel_l";
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const std::size_t comma = s.find(',', pos);
-        const std::string tok = s.substr(pos, comma - pos);
-        if (!tok.empty()) {
-            out.push_back(tok);
-        }
-        if (comma == std::string::npos) {
-            break;
-        }
-        pos = comma + 1;
-    }
-    return out;
 }
 
 /// One run of the sweep: its wall time and derived schedule metrics.
@@ -203,31 +144,36 @@ Json limiters_json(const std::vector<Limiter>& ranked) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::vector<std::string> designs =
-        parse_designs(find_arg(argc, argv, "--design"));
-    const std::vector<int> threads =
-        parse_threads(find_arg(argc, argv, "--threads"));
-    const char* mode_arg = find_arg(argc, argv, "--mode");
-    const std::string mode = mode_arg != nullptr ? mode_arg : "approx";
+    Flags flags(argc, argv);
+    std::vector<std::string> designs = {"parallel_l"};
+    if (const char* csv = flags.value("--design")) {
+        designs.clear();
+        for (const std::string_view name : split(csv, ',')) {
+            designs.emplace_back(name);
+        }
+    }
+    std::vector<int> threads = {1, 2, 4, 8};
+    flags.int_list("--threads", threads);
     double scale = 1.0;
-    if (const char* s = find_arg(argc, argv, "--scale")) {
-        scale = std::atof(s);
-    }
+    flags.real("--scale", scale, 0.0, kMaxScale, Flags::Upper::kClosed);
     int seed_offset = 0;
-    if (const char* s = find_arg(argc, argv, "--seed")) {
-        seed_offset = std::atoi(s);
-    }
-    const bool quiet = has_flag(argc, argv, "--quiet");
+    flags.count("--seed", seed_offset);
+    const bool quiet = flags.has("--quiet");
+    const char* json_path = flags.value("--json");
+    const char* trace_path = flags.value("--trace");
 
-    std::vector<bool> modes;
-    if (mode == "approx") {
-        modes = {false};
-    } else if (mode == "exact") {
-        modes = {true};
-    } else if (mode == "both") {
-        modes = {false, true};
-    } else {
-        return usage();
+    std::vector<bool> modes = {false};
+    if (const char* mode = flags.value("--mode")) {
+        if (std::strcmp(mode, "exact") == 0) {
+            modes = {true};
+        } else if (std::strcmp(mode, "both") == 0) {
+            modes = {false, true};
+        } else if (std::strcmp(mode, "approx") != 0) {
+            flags.fail("--mode");
+        }
+    }
+    if (!flags.ok()) {
+        return flags.usage(kUsage);
     }
 
     // The last run's timeline outlives the sweeps for --trace; the
@@ -246,7 +192,7 @@ int main(int argc, char** argv) {
                 std::cerr << " " << n;
             }
             std::cerr << ")\n";
-            return usage();
+            return flags.usage(kUsage);
         }
 
         GenResult gen = generate_benchmark(profile);
@@ -401,19 +347,19 @@ int main(int argc, char** argv) {
                   << top.detail << "\n";
     }
 
-    if (const char* path = find_arg(argc, argv, "--json")) {
-        if (!obs::write_json_file(path, root)) {
+    if (json_path != nullptr) {
+        if (!obs::write_json_file(json_path, root)) {
             return 2;
         }
-        std::cerr << "wrote " << path << "\n";
+        std::cerr << "wrote " << json_path << "\n";
     }
-    if (const char* path = find_arg(argc, argv, "--trace")) {
+    if (trace_path != nullptr) {
         if (timeline == nullptr ||
-            !obs::write_chrome_trace(path, *timeline,
+            !obs::write_chrome_trace(trace_path, *timeline,
                                      "mrlg_profile " + designs.back())) {
             return 2;
         }
-        std::cerr << "wrote " << path << "\n";
+        std::cerr << "wrote " << trace_path << "\n";
     }
     return 0;
 }
