@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "eval/metrics.hpp"
 #include "io/benchmark_gen.hpp"
 #include "io/profiles.hpp"
@@ -141,6 +144,59 @@ TEST(Profiles, SeedsAreDistinct) {
         seeds.insert(e.profile.seed);
     }
     EXPECT_EQ(seeds.size(), all.size());
+}
+
+/// FNV-1a over every movable cell's gp_x and gp_y bit patterns.
+std::uint64_t gp_hash(const Database& db) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](double v) {
+        const auto bits = std::bit_cast<std::uint64_t>(v);
+        for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const CellId c : db.movable_cells()) {
+        mix(db.cell(c).gp_x());
+        mix(db.cell(c).gp_y());
+    }
+    return h;
+}
+
+TEST(Profiles, Table1GpHashesPinned) {
+    // Generated designs are inputs to every Table-1 number, so any change
+    // to the generator or to the free-slot search its packing uses (a
+    // tie-break, a row order) must show here first.
+    const std::uint64_t expected[] = {
+        0xd1bf6eda63a36ca8ULL,  // des_perf_1
+        0xf7e668f43b9b0070ULL,  // des_perf_a
+        0xedf04907583f219cULL,  // des_perf_b
+        0x020b812297c49b4eULL,  // edit_dist_a
+        0x3a359706f69c313dULL,  // fft_1
+        0xe84e271e2a53a30bULL,  // fft_2
+        0xa004961bf52bf3cbULL,  // fft_a
+        0x4f92041cc5920c7cULL,  // fft_b
+        0x626a069aa0e6871dULL,  // matrix_mult_1
+        0x72729237661b31d8ULL,  // matrix_mult_2
+        0x2c1e35a4de9fe318ULL,  // matrix_mult_a
+        0x37dbc5605734df6eULL,  // matrix_mult_b
+        0x776675efb7cbeb2eULL,  // matrix_mult_c
+        0xe59163db78227cffULL,  // pci_bridge32_a
+        0x071ee674a3f98c38ULL,  // pci_bridge32_b
+        0x6591bc877fa6ee1dULL,  // superblue11_a
+        0xa0ba2df915be195aULL,  // superblue12
+        0xe5227d5961125772ULL,  // superblue14
+        0x6b4979f3788001a1ULL,  // superblue16_a
+        0xa0324bf7a14e0ce4ULL,  // superblue19
+    };
+    const auto all = table1_benchmarks(0.02);
+    ASSERT_EQ(all.size(), std::size(expected));
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const GenResult r = generate_benchmark(all[i].profile);
+        EXPECT_TRUE(r.packed_ok) << all[i].profile.name;
+        EXPECT_EQ(gp_hash(r.db), expected[i])
+            << all[i].profile.name << ": 0x" << std::hex << gp_hash(r.db);
+    }
 }
 
 }  // namespace
