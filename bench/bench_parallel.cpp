@@ -1,10 +1,10 @@
-/// bench_parallel — thread-scaling sweep of the parallel layers.
+/// bench_parallel — thread-scaling sweep of the cell-level plan fan-out.
 /// For each synthesized design and evaluation mode, legalizes the same
-/// global placement at 1/2/4/8 threads under both parallelization series:
+/// global placement at 1/2/4/8 threads under both pipeline series:
 ///
-///   intra_window    — Pipeline::kSerial: one cell per plan/commit wave,
-///                     parallelism only inside each MLL's threaded
-///                     insertion-point scan;
+///   serial          — Pipeline::kSerial: one cell per plan/commit wave,
+///                     fully serial at every thread count (the reference
+///                     the other series must reproduce);
 ///   region_parallel — plan/commit waves batching cells with disjoint
 ///                     local-region footprints (legalize/pipeline.hpp, the
 ///                     default); fallback/rip-up rounds still run one cell
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
         modes.push_back(true);
     }
     const Series series[] = {
-        {"intra_window", LegalizerOptions::Pipeline::kSerial},
+        {"serial", LegalizerOptions::Pipeline::kSerial},
         {"region_parallel", LegalizerOptions::Pipeline::kRegionParallel},
     };
 

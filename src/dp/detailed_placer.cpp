@@ -76,6 +76,7 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
 
     const double sw = db.floorplan().site_w_um();
     const double sh = db.floorplan().site_h_um();
+    MllScratch scratch;  // reused by every move of this run
 
     for (int pass = 0; pass < opts.max_passes; ++pass) {
         MRLG_OBS_PHASE("dp.pass");
@@ -133,7 +134,7 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
             grid.remove(db, cand.cell);
             const MllPlan r =
                 mll_place(db, grid, cand.cell, med->first, med->second,
-                          opts.mll);
+                          opts.mll, &scratch);
             if (!r.success()) {
                 ++stats.mll_failures;
                 grid.place(db, cand.cell, old_x, old_y);

@@ -36,12 +36,20 @@ std::vector<std::string> read_lines(const fs::path& path) {
     return lines;
 }
 
+/// Parses a finite number: std::stod also accepts "nan" and "inf", which
+/// no coordinate or size may be.
 double to_double(std::string_view tok, const std::string& ctx) {
+    double v = 0.0;
     try {
-        return std::stod(std::string(tok));
+        v = std::stod(std::string(tok));
     } catch (const std::exception&) {
         throw ParseError("bad number '" + std::string(tok) + "' in " + ctx);
     }
+    if (!std::isfinite(v)) {
+        throw ParseError("non-finite number '" + std::string(tok) + "' in " +
+                         ctx);
+    }
+    return v;
 }
 
 long to_long(std::string_view tok, const std::string& ctx) {

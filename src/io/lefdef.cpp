@@ -67,13 +67,18 @@ public:
         check(!done(), "unexpected end of file");
         return tokens_[pos_++];
     }
+    /// Next token as a finite number (std::stod alone would also accept
+    /// "nan" and "inf").
     double next_num() {
         const std::string t = next();
+        double v = 0.0;
         try {
-            return std::stod(t);
+            v = std::stod(t);
         } catch (const std::exception&) {
             fail("expected a number, got '" + t + "'");
         }
+        check(std::isfinite(v), "expected a finite number, got '" + t + "'");
+        return v;
     }
     void expect(const std::string& tok) {
         const std::string t = next();

@@ -13,10 +13,9 @@
 ///
 /// Concurrency contract: both evaluators are pure functions of the
 /// LocalProblem plus their scratch argument — no globals, no Database
-/// access. They already run concurrently across insertion points of one
-/// problem (PR-1 intra-window parallelism) and, since the plan/commit
-/// pipeline, across whole problems on distinct worker threads; each thread
-/// must bring its own scratch.
+/// access. mll_plan scores one problem's points serially, and the
+/// plan/commit pipeline runs whole problems concurrently on distinct
+/// worker threads; each thread must bring its own scratch.
 
 #include <optional>
 #include <vector>
@@ -54,7 +53,7 @@ struct CriticalPositions {
 };
 
 /// Reusable buffers for the per-candidate evaluation hot path. One scratch
-/// object per thread; the MLL scan keeps a thread_local instance so
+/// object per thread; mll_plan uses the one in its MllScratch, so
 /// steady-state evaluation performs no allocations. A default-constructed
 /// scratch is always valid.
 struct EvalScratch {

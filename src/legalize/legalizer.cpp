@@ -88,12 +88,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     // single branch.
     obs::Timeline* const timeline = obs::current_timeline();
 
-    // Effective MLL options: LegalizerOptions::num_threads fills the MLL
-    // thread count unless the caller pinned it explicitly.
     MllOptions mll_opts = opts.mll;
-    if (mll_opts.num_threads == 0) {
-        mll_opts.num_threads = opts.num_threads;
-    }
     if (mll_opts.audit < opts.audit) {
         mll_opts.audit = opts.audit;
     }
@@ -173,11 +168,6 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     const auto num_rows = static_cast<std::size_t>(db.floorplan().num_rows());
     const AttemptFootprint die_footprint{
         Span{0, static_cast<SiteCoord>(num_rows)}, die_x};
-    // A bucketed wave plans many MLL problems concurrently, so each one
-    // scans its insertion points serially — fan-out lives at the cell
-    // level there.
-    MllOptions plan_opts = mll_opts;
-    plan_opts.num_threads = 1;
     LevelSchedule schedule;
     std::vector<PlanTask> tasks;
     std::vector<std::size_t> order;    // task indices by wave (order_by_wave)
@@ -203,12 +193,10 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
         // The free-slot fallback and rip-up may write anywhere on the die,
         // so their rounds (rip-up rounds are fallback rounds too) and every
         // round of the kSerial oracle give each task its own wave and a
-        // die-wide footprint. Such a wave plans a single cell, so its plan
-        // keeps the run's threaded scan.
+        // die-wide footprint.
         const bool one_per_wave =
             allow_fallback ||
             opts.pipeline == LegalizerOptions::Pipeline::kSerial;
-        const MllOptions& round_opts = one_per_wave ? mll_opts : plan_opts;
         const std::size_t points_before = stats.mll_points_evaluated;
 
         // Build the round's tasks in queue order. This draws the round's
@@ -313,7 +301,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                                                     CellId{}, cell.region());
                             if (!t.direct) {
                                 t.plan = mll_plan(plan_db, plan_grid, t.cell,
-                                                  t.px, t.py, round_opts,
+                                                  t.px, t.py, mll_opts,
                                                   &plan_scratch);
                             }
                         }
@@ -360,7 +348,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                     // The plan pass ran with the tracer paused (workers
                     // must not touch it — see obs::TracerPause), so the
                     // attempt is counted here, in commit order.
-                    count_mll_attempt(t.plan, round_opts);
+                    count_mll_attempt(t.plan, mll_opts);
                     stats.mll_points_evaluated += t.plan.num_points;
                     if (t.plan.success()) {
                         mll_commit(db, grid, t.cell, t.plan);

@@ -49,19 +49,18 @@ struct LegalizerOptions {
     /// re-insert the evicted cells (transactional — see ripup.hpp).
     /// Rescues multi-row cells whose paired-row capacity was starved.
     bool enable_ripup = true;
-    /// Worker threads for the parallel evaluation hot paths. Fills
-    /// mll.num_threads when that is 0; 0 here means the MRLG_THREADS
-    /// environment default. Results are bit-identical for any value (see
-    /// thread_pool.hpp's determinism contract).
+    /// Worker threads for the cell-level plan fan-out, the run's one
+    /// parallel layer (callers pass the same count to legality and HPWL).
+    /// 0 means the MRLG_THREADS environment default. Results are
+    /// bit-identical for any value (legalize/pipeline.hpp).
     int num_threads = 0;
     /// Main-loop parallelization strategy. Every round runs as plan/commit
     /// waves (legalize/pipeline.hpp); the strategy decides how the round's
     /// cells are spread over them.
     enum class Pipeline {
         /// Every cell is its own wave, with a die-wide footprint: one cell
-        /// at a time, parallelism only inside each MLL's insertion-point
-        /// scan (the intra-window layer). The trivially sound schedule,
-        /// kept as the test oracle for kRegionParallel.
+        /// at a time, fully serial at every thread count. The trivially
+        /// sound schedule, kept as the test oracle for kRegionParallel.
         kSerial,
         /// Cells whose conservative local-region footprints don't overlap
         /// share a wave: they are planned concurrently and committed
@@ -96,8 +95,8 @@ struct LegalizerStats {
     std::size_t fallback_placements = 0;  ///< Free-slot fallback hits.
     std::size_t ripup_placements = 0;     ///< Rip-up transactions applied.
     std::size_t unplaced = 0;      ///< Cells still unplaced at the end.
-    /// Insertion points evaluated across all direct MLL attempts (the
-    /// parallel scan's per-point count, summed; rip-up internals excluded).
+    /// Insertion points evaluated across all direct MLL attempts (each
+    /// plan's num_points, summed; rip-up internals excluded).
     std::size_t mll_points_evaluated = 0;
     /// Invariant audits executed by this run's hooks (0 when auditing is
     /// off); lets callers and tests confirm the hooks actually fired.

@@ -12,7 +12,6 @@
 #include "legalize/realization.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mrlg {
 
@@ -20,61 +19,33 @@ namespace {
 
 constexpr std::size_t kNoPoint = static_cast<std::size_t>(-1);
 
-/// Chunk-local (and final) state of the parallel candidate scan. Combined
-/// in ascending chunk order with the deterministic tie-break
-/// (cost, point index), which reproduces the serial "first strictly lower
-/// cost wins" rule exactly.
+/// The winner of a scan; index kNoPoint when no point is feasible.
 struct ScanBest {
     Evaluation eval;
     std::size_t index = kNoPoint;
-    std::size_t evaluated = 0;  ///< Points actually evaluated (not chunks).
 };
 
-/// Evaluates every enumerated point and returns the best feasible one.
-/// Read-only over `lp`; evaluation order never affects the winner.
+/// Evaluates every enumerated point in index order and returns the best
+/// feasible one: the first strictly lower cost wins, so ties go to the
+/// lower index. Read-only over `lp`.
 ScanBest scan_insertion_points(const LocalProblem& lp,
                                const EnumerationResult& enumr,
                                const TargetSpec& target,
-                               const MllOptions& opts) {
-    const auto map = [&](std::size_t begin, std::size_t end) {
-        // One scratch per worker thread: steady-state evaluation allocates
-        // nothing. Cleared by each evaluate call before use.
-        thread_local EvalScratch scratch;
-        ScanBest best;
-        for (std::size_t i = begin; i < end; ++i) {
-            const InsertionPoint& p = enumr.points[i];
-            const Evaluation ev =
-                opts.exact_evaluation
-                    ? evaluate_insertion_point_exact(lp, p, target, scratch)
-                    : evaluate_insertion_point_approx(lp, p, target,
-                                                      scratch);
-            ++best.evaluated;
-            if (ev.feasible && (best.index == kNoPoint ||
-                                ev.cost_um < best.eval.cost_um)) {
-                best.eval = ev;
-                best.index = i;
-            }
+                               const MllOptions& opts, EvalScratch& scratch) {
+    ScanBest best;
+    for (std::size_t i = 0; i < enumr.points.size(); ++i) {
+        const InsertionPoint& p = enumr.points[i];
+        const Evaluation ev =
+            opts.exact_evaluation
+                ? evaluate_insertion_point_exact(lp, p, target, scratch)
+                : evaluate_insertion_point_approx(lp, p, target, scratch);
+        if (ev.feasible &&
+            (best.index == kNoPoint || ev.cost_um < best.eval.cost_um)) {
+            best.eval = ev;
+            best.index = i;
         }
-        return best;
-    };
-    const auto combine = [](ScanBest acc, ScanBest part) {
-        acc.evaluated += part.evaluated;
-        if (part.index != kNoPoint &&
-            (acc.index == kNoPoint ||
-             part.eval.cost_um < acc.eval.cost_um ||
-             (part.eval.cost_um == acc.eval.cost_um &&
-              part.index < acc.index))) {
-            acc.eval = part.eval;
-            acc.index = part.index;
-        }
-        return acc;
-    };
-    // Fixed grain: chunk boundaries must not depend on the thread count
-    // (see thread_pool.hpp). Exact evaluation is O(|C_W|) per point, so it
-    // amortizes the dispatch overhead at a finer grain.
-    const std::size_t grain = opts.exact_evaluation ? 16 : 128;
-    return parallel_reduce(enumr.points.size(), grain, opts.num_threads,
-                           ScanBest{}, map, combine);
+    }
+    return best;
 }
 
 }  // namespace
@@ -93,6 +64,10 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
                  CellId target_cell, double pref_x, double pref_y,
                  const MllOptions& opts, MllScratch* scratch) {
     MRLG_OBS_PHASE("mll");
+    MllScratch local_scratch;
+    if (scratch == nullptr) {
+        scratch = &local_scratch;
+    }
     MllPlan res;
     const Cell& cell = db.cell(target_cell);
     MRLG_ASSERT(!cell.placed(), "MLL target must be unplaced");
@@ -108,16 +83,14 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
 
     const Rect window = mll_window(opts, target.w, target.h, pref_x, pref_y);
     const LocalRegion region = extract_local_region(
-        db, grid, window, cell.region(),
-        scratch != nullptr ? &scratch->region : nullptr);
+        db, grid, window, cell.region(), &scratch->region);
     if (region.height() == 0) {
         return res;
     }
     if (opts.audit >= AuditLevel::kFull) {
         enforce(audit_local_region(db, grid, region, cell.region()));
     }
-    LocalProblem lp = LocalProblem::build(
-        db, region, scratch != nullptr ? &scratch->problem : nullptr);
+    LocalProblem lp = LocalProblem::build(db, region, &scratch->problem);
     res.num_local_cells = static_cast<std::size_t>(lp.num_cells());
 
     compute_minmax_placement(lp);
@@ -159,7 +132,8 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
                     "MIP solution row has no matching insertion interval");
         MRLG_ASSERT(mip_point.lo <= mip_point.hi,
                     "MIP solution has no matching interval range");
-        best_eval = evaluate_insertion_point_exact(lp, mip_point, target);
+        best_eval = evaluate_insertion_point_exact(lp, mip_point, target,
+                                                   scratch->eval);
         MRLG_ASSERT(best_eval.feasible, "MIP point fails exact evaluation");
         best_point = &mip_point;
     } else {
@@ -172,13 +146,10 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
         ScanBest best;
         {
             MRLG_OBS_PHASE("scan");
-            best = scan_insertion_points(lp, enumr, target, opts);
+            best = scan_insertion_points(lp, enumr, target, opts,
+                                         scratch->eval);
         }
-        // Per-point accounting: sum of points each chunk evaluated, exact
-        // under any chunking (== points.size(); never the chunk count).
-        res.num_points = best.evaluated;
-        MRLG_ASSERT(best.evaluated == enumr.points.size(),
-                    "parallel scan must evaluate every enumerated point");
+        res.num_points = enumr.points.size();
         if (best.index == kNoPoint) {
             res.status = MllStatus::kNoInsertionPoint;
             return res;

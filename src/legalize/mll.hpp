@@ -5,7 +5,8 @@
 ///
 /// Pipeline: window → local region extraction → leftmost/rightmost packing
 /// → insertion intervals → scanline enumeration → per-point evaluation
-/// (neighbour approximation by default, exact optionally) → realization of
+/// (neighbour approximation by default, exact optionally; one serial scan
+/// in point order, the first strictly cheaper point wins) → realization of
 /// the best point → commit to the database/segment grid.
 /// On failure nothing is modified (the paper's abort semantics).
 ///
@@ -20,7 +21,7 @@
 #include "check/audit.hpp"
 #include "db/database.hpp"
 #include "db/segment.hpp"
-#include "legalize/enumeration.hpp"
+#include "legalize/evaluation.hpp"
 
 namespace mrlg {
 
@@ -47,20 +48,19 @@ struct MllOptions {
     /// skip the per-attempt audits (the legalizer still audits the grid
     /// at phase boundaries).
     AuditLevel audit = AuditLevel::kOff;
-    /// Worker threads for the insertion-point evaluation scan. 0 = the
-    /// MRLG_THREADS environment default (hardware concurrency when unset);
-    /// 1 = serial. Any value yields the bit-identical chosen point: the
-    /// scan merges chunk-local bests with the deterministic tie-break
-    /// (cost, point index) that matches the serial first-strictly-better
-    /// rule.
+    /// Ignored: the insertion-point scan is serial, and the legalizer's
+    /// cell-level plan fan-out takes LegalizerOptions::num_threads. Kept
+    /// only until its last writer, the mrlg_bench stage replay, drops it.
     int num_threads = 0;
 };
 
-/// Reusable buffers shared by successive mll_place calls (the legalizer
-/// holds one for its whole run). Optional — pass nullptr for one-off calls.
+/// Reusable buffers shared by successive mll_plan/mll_place calls (the
+/// legalizer holds one per plan thread and one for rip-up). Optional —
+/// with nullptr a call uses a scratch of its own.
 struct MllScratch {
     LocalRegionScratch region;
     LocalProblemScratch problem;
+    EvalScratch eval;
 };
 
 enum class MllStatus {

@@ -18,9 +18,10 @@
 ///
 /// Rounds that enable the free-slot fallback or rip-up skip the schedule:
 /// both may write anywhere on the die, so each task gets a die-wide
-/// footprint and its own wave (its queue position), its plan keeps the
-/// threaded insertion-point scan, and a failed plan runs
-/// find_nearest_free_position and then ripup_place inside commit.
+/// footprint and its own wave (its queue position), and a failed plan runs
+/// find_nearest_free_position and then ripup_place inside commit. The
+/// plan fan-out is the only parallel layer: a one-task wave plans
+/// serially.
 /// Pipeline::kSerial runs every round that way, which makes it the
 /// trivially sound oracle the bucketed schedule is tested against.
 ///

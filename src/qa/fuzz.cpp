@@ -55,7 +55,7 @@ std::string local_battery(Database& db, const SegmentGrid& grid,
     return {};
 }
 
-std::string mll_battery(Database& db, SegmentGrid& grid, int num_threads) {
+std::string mll_battery(Database& db, SegmentGrid& grid) {
     GridWriteScope grid_write;
     int idx = 0;
     for (const CellId id : db.movable_cells()) {
@@ -64,7 +64,6 @@ std::string mll_battery(Database& db, SegmentGrid& grid, int num_threads) {
             continue;
         }
         MllOptions mopts;
-        mopts.num_threads = num_threads;
         mopts.exact_evaluation = (idx++ % 2) == 1;  // alternate both paths
         const std::string diff = diff_mll_roundtrip(db, grid, id, c.gp_x(),
                                                     c.gp_y(), mopts);
@@ -77,7 +76,7 @@ std::string mll_battery(Database& db, SegmentGrid& grid, int num_threads) {
     return {};
 }
 
-std::string ripup_battery(Database& db, SegmentGrid& grid, int num_threads) {
+std::string ripup_battery(Database& db, SegmentGrid& grid) {
     GridWriteScope grid_write;
     int idx = 0;
     for (const CellId id : db.movable_cells()) {
@@ -86,7 +85,6 @@ std::string ripup_battery(Database& db, SegmentGrid& grid, int num_threads) {
             continue;
         }
         RipupOptions ropts;
-        ropts.mll.num_threads = num_threads;
         // Tight eviction caps force the rollback path often.
         ropts.max_evictions = 1 + static_cast<std::size_t>(idx++ % 4);
         const std::string diff = diff_ripup_rollback(db, grid, id, c.gp_x(),
@@ -101,7 +99,7 @@ std::string ripup_battery(Database& db, SegmentGrid& grid, int num_threads) {
 std::string design_battery(Database& db, SegmentGrid& grid,
                            int num_threads) {
     LegalizerOptions lopts;
-    lopts.mll.num_threads = num_threads;
+    lopts.num_threads = num_threads;
     const LegalizerStats stats = legalize_placement(db, grid, lopts);
     const std::string audit = grid.audit(db);
     if (!audit.empty()) {
@@ -162,9 +160,9 @@ std::string check_case(Database& db, FuzzScenario scenario,
         case FuzzScenario::kLocal:
             return local_battery(db, grid, lopts);
         case FuzzScenario::kMllRoundtrip:
-            return mll_battery(db, grid, num_threads);
+            return mll_battery(db, grid);
         case FuzzScenario::kRipup:
-            return ripup_battery(db, grid, num_threads);
+            return ripup_battery(db, grid);
         case FuzzScenario::kWholeDesign:
             return design_battery(db, grid, num_threads);
     }

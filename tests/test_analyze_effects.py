@@ -26,6 +26,7 @@ CASES = {
     "bad_const_cast.cpp": (1, ["const-cast", "plan-mutation"]),
     "bad_global_write.cpp": (1, ["global-state"]),
     "bad_plan_dispatch_no_pause.cpp": (1, ["tracer-pause"]),
+    "bad_plan_nested_fanout.cpp": (1, ["nested-fanout"]),
     "good_readonly.cpp": (0, []),
 }
 
@@ -33,6 +34,13 @@ CASES = {
 # regressed to "something somewhere mutates".
 CHAIN_CHECKS = {
     "bad_plan_calls_commit.cpp": "my_plan -> plan_and_apply_eagerly",
+    "bad_plan_nested_fanout.cpp": "plan-dispatch:plan_one -> score_points",
+}
+
+# Exact finding counts, where a fixture also seeds a look-alike the rule
+# must leave alone (a read-only root's own parallel sweep).
+COUNT_CHECKS = {
+    "bad_plan_nested_fanout.cpp": ("nested-fanout", 1),
 }
 
 
@@ -72,6 +80,14 @@ def main():
                 f"{name}: witness chain '{chain}' missing\n"
                 f"--- output ---\n{out}"
             )
+        if name in COUNT_CHECKS:
+            rule, want = COUNT_CHECKS[name]
+            got = out.count(f" {rule}: ")
+            if got != want:
+                failures.append(
+                    f"{name}: {got} '{rule}' findings, expected {want}\n"
+                    f"--- output ---\n{out}"
+                )
 
     # All bad fixtures at once: finding count must be the sum (no fixture
     # masks another).
@@ -81,7 +97,13 @@ def main():
     rc, out = run_analyzer(bad)
     if rc != 1:
         failures.append(f"combined bad fixtures: exit {rc}, expected 1\n{out}")
-    for rule in ("plan-mutation", "const-cast", "global-state", "tracer-pause"):
+    for rule in (
+        "plan-mutation",
+        "const-cast",
+        "global-state",
+        "tracer-pause",
+        "nested-fanout",
+    ):
         if f" {rule}: " not in out:
             failures.append(f"combined bad fixtures: missing '{rule}'\n{out}")
 

@@ -105,6 +105,51 @@ TEST_F(BookshelfTest, MisalignedNodeSizeThrows) {
     EXPECT_THROW(read_bookshelf(path("t.aux")), ParseError);
 }
 
+/// Replaces the value after the first "key : " in `path` (up to the end of
+/// its line) with `value`.
+void set_first_value(const std::string& path, const std::string& key,
+                     const std::string& value) {
+    std::ifstream in(path);
+    std::string content((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    in.close();
+    const std::size_t at = content.find(key + " : ");
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t begin = at + key.size() + 3;
+    content.replace(begin, content.find('\n', begin) - begin, value);
+    std::ofstream(path) << content;
+}
+
+TEST_F(BookshelfTest, NonFiniteNumbersThrow) {
+    // std::stod accepts "nan" and "inf"; a non-finite position or size
+    // must be rejected, never legalized.
+    for (const char* bad : {"nan", "inf", "-inf", "NaN", "INFINITY"}) {
+        SCOPED_TRACE(bad);
+        Database db = small_design();
+        write_bookshelf(db, dir_.string(), "t", true);
+        std::ofstream(path("t.pl"), std::ios::app)
+            << "a " << bad << " 2.405 : N\n";
+        EXPECT_THROW(read_bookshelf(path("t.aux")), ParseError);
+
+        write_bookshelf(db, dir_.string(), "t", true);
+        std::ofstream(path("t.pl"), std::ios::app) << "b 1 " << bad << "\n";
+        EXPECT_THROW(read_bookshelf(path("t.aux")), ParseError);
+
+        write_bookshelf(db, dir_.string(), "t", true);
+        std::ofstream(path("t.nodes"), std::ios::app)
+            << "odd " << bad << " 1.71\n";
+        EXPECT_THROW(read_bookshelf(path("t.aux")), ParseError);
+
+        for (const char* key :
+             {"Coordinate", "Height", "Sitewidth", "SubrowOrigin"}) {
+            SCOPED_TRACE(key);
+            write_bookshelf(db, dir_.string(), "t", true);
+            set_first_value(path("t.scl"), key, bad);
+            EXPECT_THROW(read_bookshelf(path("t.aux")), ParseError);
+        }
+    }
+}
+
 TEST_F(BookshelfTest, CommentsAndBlankLinesIgnored) {
     Database db = small_design();
     write_bookshelf(db, dir_.string(), "t", true);

@@ -296,6 +296,34 @@ END DESIGN
     EXPECT_THROW(read_def(def, lef), LefDefError);
 }
 
+TEST_F(LefDefTest, NonFiniteNumbersThrow) {
+    // std::stod accepts "nan" and "inf"; a non-finite coordinate must be
+    // rejected, never legalized.
+    const LefLibrary lef = read_lef(write("a.lef", kLef));
+    for (const char* bad : {"nan", "inf", "-inf", "NaN", "INFINITY"}) {
+        SCOPED_TRACE(bad);
+        for (const std::string& coords :
+             {std::string(bad) + " 0", std::string("0 ") + bad}) {
+            const std::string def = write("nan.def", R"(
+DESIGN top ;
+UNITS DISTANCE MICRONS 1000 ;
+ROW r0 core 0 0 N DO 10 BY 1 STEP 200 0 ;
+COMPONENTS 1 ;
+- u1 INV + PLACED ( )" + coords + R"( ) N ;
+END COMPONENTS
+END DESIGN
+)");
+            EXPECT_THROW(read_def(def, lef), LefDefError);
+        }
+        const std::string lef_text = std::string(R"(
+SITE core
+  SIZE 0.2 BY )") + bad + R"( ;
+END core
+)";
+        EXPECT_THROW(read_lef(write("nan.lef", lef_text)), LefDefError);
+    }
+}
+
 TEST_F(LefDefTest, MisalignedMacroThrows) {
     const std::string lef_text = R"(
 SITE core

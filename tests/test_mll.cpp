@@ -147,6 +147,51 @@ TEST(Mll, CommitIntoTakenSlotAsserts) {
     EXPECT_THROW(mll_commit(db, grid, t, plan), AssertionError);
 }
 
+TEST(Mll, PlanIdenticalWithAndWithoutScratch) {
+    // One reused MllScratch carries buffers from every earlier plan (other
+    // targets, sizes and modes) into the next; a plan must not depend on
+    // what they left behind.
+    Rng rng(29);
+    RandomDesign d = random_legal_design(rng, 12, 100, 150, 0.3, 3);
+    std::vector<CellId> targets;
+    for (int i = 0; i < 40; ++i) {
+        const SiteCoord w = static_cast<SiteCoord>(rng.uniform(1, 5));
+        const SiteCoord h = static_cast<SiteCoord>(rng.uniform(1, 3));
+        const RailPhase phase =
+            rng.chance(0.5) ? RailPhase::kEven : RailPhase::kOdd;
+        targets.push_back(add_unplaced(
+            d.db, "t" + std::to_string(i), rng.uniform01() * 95.0,
+            rng.uniform01() * (12.0 - h), w, h, phase));
+    }
+    MllScratch scratch;
+    std::size_t shifted = 0;
+    for (const bool exact : {false, true}) {
+        MllOptions opts;
+        opts.exact_evaluation = exact;
+        for (const CellId t : targets) {
+            const Cell& c = d.db.cell(t);
+            const MllPlan fresh =
+                mll_plan(d.db, d.grid, t, c.gp_x(), c.gp_y(), opts);
+            const MllPlan reused = mll_plan(d.db, d.grid, t, c.gp_x(),
+                                            c.gp_y(), opts, &scratch);
+            SCOPED_TRACE(c.name() + (exact ? " exact" : " approx"));
+            EXPECT_EQ(reused.status, fresh.status);
+            EXPECT_EQ(reused.x, fresh.x);
+            EXPECT_EQ(reused.y, fresh.y);
+            EXPECT_EQ(reused.num_points, fresh.num_points);
+            EXPECT_EQ(reused.est_cost_um, fresh.est_cost_um);
+            ASSERT_EQ(reused.moves.size(), fresh.moves.size());
+            for (std::size_t i = 0; i < fresh.moves.size(); ++i) {
+                EXPECT_EQ(reused.moves[i].id, fresh.moves[i].id);
+                EXPECT_EQ(reused.moves[i].old_x, fresh.moves[i].old_x);
+                EXPECT_EQ(reused.moves[i].new_x, fresh.moves[i].new_x);
+            }
+            shifted += fresh.moves.size();
+        }
+    }
+    EXPECT_GT(shifted, 0u);  // the plans did real work
+}
+
 TEST(Mll, Figure5Scenario) {
     // The paper's running example (Fig. 5): a 3x2 target inserted into a
     // 4-row local region with cells a, b, c, d, e. We reproduce the

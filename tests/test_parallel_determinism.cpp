@@ -30,8 +30,8 @@ void unplace_all(Database& db, SegmentGrid& grid) {
 
 /// Legalizes the same seeded generated design serially and with 4 worker
 /// threads; every cell position and every stat must be bit-identical
-/// (thread_pool.hpp's determinism contract, enforced by the MLL scan's
-/// (cost, point index) tie-break).
+/// (pipeline.hpp's serial-equivalence argument for the cell-level plan
+/// fan-out, and thread_pool.hpp's fixed-chunk contract for HPWL).
 void expect_deterministic(bool exact_evaluation) {
     GenProfile profile;
     profile.name = "determinism";
@@ -86,7 +86,7 @@ TEST(ParallelDeterminism, ExactEvaluation) {
     expect_deterministic(/*exact_evaluation=*/true);
 }
 
-TEST(ParallelDeterminism, PointAccountingIsExactUnderChunking) {
+TEST(ParallelDeterminism, PointAccountingIsThreadCountInvariant) {
     // num_points must count points actually evaluated — identical at any
     // thread count, and nonzero on a design where MLL does real work.
     GenProfile profile;

@@ -12,7 +12,7 @@
 ///   mrlg_fuzz --replay repro.aux
 ///     --seed S          master seed                    (default 1)
 ///     --iters N         iterations per scenario        (default 50)
-///     --threads T       MLL scan threads, 0 = env default (default 0)
+///     --threads T       legalizer threads, 0 = env default (default 0)
 ///     --scenario NAME   restrict to one scenario:
 ///                       legality|local|mll|ripup|design (default: all)
 ///     --out DIR         dump shrunk repros under DIR

@@ -22,6 +22,11 @@ pause the ambient tracer before fanning out            -> tracer-pause
 and every MRLG_EFFECT_READONLY marker must name a
 function the analyzer can find                          -> marker-unknown
 
+The cell-level plan fan-out is the only parallel layer: nothing the plan
+dispatch reaches may call parallel_for or parallel_reduce itself
+(MRLG_EFFECT_READONLY roots alone may: the legality sweep is read-only
+and parallel)                                           -> nested-fanout
+
 Frontends: libclang over compile_commands.json when importable (exact
 AST), otherwise the built-in scanner (cpp_model.py). Both feed the same
 rule code; this container has no clang, so the scanner is the tested
@@ -78,6 +83,9 @@ GLOBAL_WRITE_RE = re.compile(
 STATIC_LOCAL_RE = re.compile(
     r"\bstatic\s+(?!const\b|constexpr\b|thread_local\b|assert\b)"
 )
+# The thread-pool entry points (util/thread_pool.hpp).
+FANOUT_CALLS = {"parallel_for", "parallel_reduce"}
+
 CONST_CAST_RE = re.compile(r"\bconst_cast\b")
 NONCONST_TRACKED_REF_RE = re.compile(
     r"(?<!const )(?<!const  )\b(?:mrlg::)?("
@@ -250,11 +258,12 @@ class EffectsAnalyzer:
             seen_marker_names.add(name)
             for fn in fns:
                 roots.append((fn, [name], f"MRLG_EFFECT_READONLY {name}"))
+        dispatch_roots = []
         for name, path, line in collect_plan_dispatch(
             self.prog, self.findings
         ):
             for fn in self.prog.resolve(name):
-                roots.append(
+                dispatch_roots.append(
                     (fn, [f"plan-dispatch:{name}"], f"plan fan-out calls {name}")
                 )
         # Rewrite finding paths from collect_plan_dispatch to relative.
@@ -262,9 +271,30 @@ class EffectsAnalyzer:
             fi.path = self.rel(fi.path)
 
         visited = set()
-        for fn, chain, origin in roots:
+        for fn, chain, origin in roots + dispatch_roots:
             self._walk(fn, chain, origin, visited)
+        # Its own walk: a function first reached from a read-only root is
+        # still inside the plan fan-out when the dispatch reaches it too.
+        visited = set()
+        for fn, chain, origin in dispatch_roots:
+            self._walk_fanout(fn, chain, origin, visited)
         return self.findings
+
+    def _walk_fanout(self, fn, chain, origin, visited):
+        if fn.key() in visited or fn.path.endswith(SANCTIONED_SYNC_FILES):
+            return
+        visited.add(fn.key())
+        for _recv, name, off in cpp_model.extract_calls(fn.body):
+            if name in FANOUT_CALLS:
+                self._emit(
+                    "nested-fanout", fn, fn.line, fn.body, off, chain, origin,
+                    f"calls {name} inside the plan fan-out; the cell-level "
+                    f"plan is the only parallel layer",
+                )
+                continue
+            for callee in self.prog.resolve(name):
+                if callee.key() != fn.key():
+                    self._walk_fanout(callee, chain + [name], origin, visited)
 
     def _walk(self, fn, chain, origin, visited):
         if fn.key() in visited:
