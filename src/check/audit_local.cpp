@@ -13,6 +13,14 @@ std::string lr_who(const Database& db, CellId id) {
     return os.str();
 }
 
+/// Whether cell i's h slots lie inside the problem's slot array.
+bool slots_in_range(const LocalProblem& lp, int i) {
+    const LpCell& c = lp.cell(i);
+    return c.slot0 >= 0 && c.h >= 0 &&
+           static_cast<std::size_t>(c.slot0) + static_cast<std::size_t>(c.h) <=
+               lp.slots().size();
+}
+
 }  // namespace
 
 AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
@@ -207,12 +215,14 @@ AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
             }
             prev_end = c.x + c.w;
             const int j = k - c.k0;
-            if (j < 0 || j >= static_cast<int>(c.pos_in_row.size()) ||
-                c.pos_in_row[static_cast<std::size_t>(j)] !=
-                    static_cast<int>(pos)) {
+            const int left = pos > 0 ? row.cells[pos - 1] : -1;
+            const int right =
+                pos + 1 < row.cells.size() ? row.cells[pos + 1] : -1;
+            if (j < 0 || j >= c.h || !slots_in_range(lp, i) ||
+                lp.slot(i, j).pos != static_cast<int>(pos) ||
+                lp.slot(i, j).left != left || lp.slot(i, j).right != right) {
                 std::ostringstream os;
-                os << "lp cell " << i << " pos_in_row inconsistent on lp row "
-                   << k;
+                os << "lp cell " << i << " slot inconsistent on lp row " << k;
                 r.add("lp-pos", os.str());
             }
         }
@@ -232,10 +242,11 @@ AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
                << " disagrees with its row " << c.y;
             r.add("lp-cell-row", os.str());
         }
-        if (static_cast<SiteCoord>(c.pos_in_row.size()) != c.h) {
+        if (!slots_in_range(lp, i)) {
             std::ostringstream os;
-            os << "lp cell " << i << " has " << c.pos_in_row.size()
-               << " row positions for height " << c.h;
+            os << "lp cell " << i << " slots [" << c.slot0 << ", "
+               << c.slot0 + c.h << ") outside the " << lp.slots().size()
+               << " slots of the problem";
             r.add("lp-pos-size", os.str());
         }
         for (SiteCoord j = 0; j < c.h; ++j) {

@@ -36,28 +36,41 @@ std::vector<std::string> read_lines(const fs::path& path) {
     return lines;
 }
 
-/// Parses a finite number: std::stod also accepts "nan" and "inf", which
-/// no coordinate or size may be.
+/// Parses a finite number that is the whole token: std::stod also accepts
+/// "nan" and "inf", which no coordinate or size may be, and stops at the
+/// first character that is not part of a number ("1.0abc" reads as 1).
 double to_double(std::string_view tok, const std::string& ctx) {
+    const std::string s(tok);
     double v = 0.0;
+    std::size_t used = 0;
     try {
-        v = std::stod(std::string(tok));
+        v = std::stod(s, &used);
     } catch (const std::exception&) {
-        throw ParseError("bad number '" + std::string(tok) + "' in " + ctx);
+        used = 0;
+    }
+    if (used == 0 || used != s.size()) {
+        throw ParseError("bad number '" + s + "' in " + ctx);
     }
     if (!std::isfinite(v)) {
-        throw ParseError("non-finite number '" + std::string(tok) + "' in " +
-                         ctx);
+        throw ParseError("non-finite number '" + s + "' in " + ctx);
     }
     return v;
 }
 
+/// Parses an integer that is the whole token ("12abc" is rejected).
 long to_long(std::string_view tok, const std::string& ctx) {
+    const std::string s(tok);
+    long v = 0;
+    std::size_t used = 0;
     try {
-        return std::stol(std::string(tok));
+        v = std::stol(s, &used);
     } catch (const std::exception&) {
-        throw ParseError("bad integer '" + std::string(tok) + "' in " + ctx);
+        used = 0;
     }
+    if (used == 0 || used != s.size()) {
+        throw ParseError("bad integer '" + s + "' in " + ctx);
+    }
+    return v;
 }
 
 struct SclRow {

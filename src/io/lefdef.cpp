@@ -67,16 +67,19 @@ public:
         check(!done(), "unexpected end of file");
         return tokens_[pos_++];
     }
-    /// Next token as a finite number (std::stod alone would also accept
-    /// "nan" and "inf").
+    /// Next token as a finite number that is the whole token (std::stod
+    /// alone would also accept "nan" and "inf", and read "1.0abc" as 1).
     double next_num() {
         const std::string t = next();
         double v = 0.0;
+        std::size_t used = 0;
         try {
-            v = std::stod(t);
+            v = std::stod(t, &used);
         } catch (const std::exception&) {
-            fail("expected a number, got '" + t + "'");
+            used = 0;
         }
+        check(used != 0 && used == t.size(),
+              "expected a number, got '" + t + "'");
         check(std::isfinite(v), "expected a finite number, got '" + t + "'");
         return v;
     }

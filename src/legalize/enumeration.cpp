@@ -33,8 +33,7 @@ bool consistent_impl(const LocalProblem& lp, const InsertionPoint& p,
         }
         int side = 0;  // -1 left of gap, +1 right of gap
         for (int k = c_lo; k < c_hi; ++k) {
-            const int pos =
-                c.pos_in_row[static_cast<std::size_t>(k - c.k0)];
+            const int pos = lp.slot(ci, k - c.k0).pos;
             const int gap = p.gaps[static_cast<std::size_t>(k - t)];
             const int s = pos < gap ? -1 : 1;
             if (side == 0) {

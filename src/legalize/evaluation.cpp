@@ -1,8 +1,10 @@
 #include "legalize/evaluation.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -15,35 +17,25 @@ namespace {
 /// target, or -1 when there is none (segment wall).
 int right_neighbor(const LocalProblem& lp, const InsertionPoint& p, int ci,
                    int k) {
-    const LpCell& c = lp.cell(ci);
-    const int pos = c.pos_in_row[static_cast<std::size_t>(k - c.k0)];
-    const auto& row_cells = lp.row(k).cells;
+    const LpSlot& s = lp.slot(ci, k - lp.cell(ci).k0);
     const bool comb_row =
         k >= p.k0 && k < p.k0 + static_cast<int>(p.gaps.size());
-    if (comb_row && pos + 1 == p.gaps[static_cast<std::size_t>(k - p.k0)]) {
+    if (comb_row && s.pos + 1 == p.gaps[static_cast<std::size_t>(k - p.k0)]) {
         return -2;  // target sits immediately to the right
     }
-    if (pos + 1 < static_cast<int>(row_cells.size())) {
-        return row_cells[static_cast<std::size_t>(pos + 1)];
-    }
-    return -1;
+    return s.right;
 }
 
 /// Post-insertion left neighbour; same encoding as right_neighbor.
 int left_neighbor(const LocalProblem& lp, const InsertionPoint& p, int ci,
                   int k) {
-    const LpCell& c = lp.cell(ci);
-    const int pos = c.pos_in_row[static_cast<std::size_t>(k - c.k0)];
-    const auto& row_cells = lp.row(k).cells;
+    const LpSlot& s = lp.slot(ci, k - lp.cell(ci).k0);
     const bool comb_row =
         k >= p.k0 && k < p.k0 + static_cast<int>(p.gaps.size());
-    if (comb_row && pos == p.gaps[static_cast<std::size_t>(k - p.k0)]) {
+    if (comb_row && s.pos == p.gaps[static_cast<std::size_t>(k - p.k0)]) {
         return -2;  // target sits immediately to the left
     }
-    if (pos > 0) {
-        return row_cells[static_cast<std::size_t>(pos - 1)];
-    }
-    return -1;
+    return s.left;
 }
 
 double y_cost_um(const LocalProblem& lp, const InsertionPoint& p,
@@ -70,61 +62,69 @@ std::pair<SiteCoord, double> minimize_hinge_cost(const HingeSet& hinges,
     b.assign(hinges.b.begin(), hinges.b.end());
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
+    const std::size_t na = a.size();
+    const std::size_t nb = b.size();
 
-    // Suffix sums of a (for sum of a_i > x), prefix sums of b.
+    // Suffix sums of a (for sum of a_i > x); the prefix sum of b (for sum
+    // of b_j < x) is accumulated in the same order as the sweep advances.
     std::vector<double>& a_suffix = scratch.a_suffix;
-    a_suffix.assign(a.size() + 1, 0.0);
-    for (std::size_t i = a.size(); i-- > 0;) {
+    a_suffix.assign(na + 1, 0.0);
+    for (std::size_t i = na; i-- > 0;) {
         a_suffix[i] = a_suffix[i + 1] + static_cast<double>(a[i]);
     }
-    std::vector<double>& b_prefix = scratch.b_prefix;
-    b_prefix.assign(b.size() + 1, 0.0);
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        b_prefix[i + 1] = b_prefix[i] + static_cast<double>(b[i]);
-    }
 
-    auto cost_at = [&](SiteCoord x) -> double {
-        // sum over a_i > x of (a_i - x)
-        const auto ita = std::upper_bound(a.begin(), a.end(), x);
-        const std::size_t ia = static_cast<std::size_t>(ita - a.begin());
-        const double ca = a_suffix[ia] - static_cast<double>(a.size() - ia) *
-                                             static_cast<double>(x);
-        // sum over b_j < x of (x - b_j)
-        const auto itb = std::lower_bound(b.begin(), b.end(), x);
-        const std::size_t ib = static_cast<std::size_t>(itb - b.begin());
-        const double cb =
-            static_cast<double>(ib) * static_cast<double>(x) - b_prefix[ib];
-        return ca + cb + std::abs(static_cast<double>(x) - hinges.pref);
-    };
+    // Candidate positions: lo, hi, the integers around pref and every
+    // breakpoint, each clamped into [lo, hi]. Clamping is monotone, so the
+    // clamped a and b stay sorted, and {lo, floor(pref), ceil(pref), hi}
+    // is sorted too; the candidates are a three-way merge of those lists,
+    // visited in ascending order without repeats. hi is the largest
+    // candidate, so the merge ends with the fixed list.
+    const double pc = std::clamp(hinges.pref, static_cast<double>(lo),
+                                 static_cast<double>(hi));
+    const std::array<SiteCoord, 4> fixed = {
+        lo, static_cast<SiteCoord>(std::floor(pc)),
+        static_cast<SiteCoord>(std::ceil(pc)), hi};
+    auto clamped = [&](SiteCoord v) { return std::clamp(v, lo, hi); };
 
-    // Candidate positions: every breakpoint clamped into [lo, hi].
-    std::vector<SiteCoord>& cand = scratch.cand;
-    cand.clear();
-    cand.push_back(lo);
-    cand.push_back(hi);
-    auto push_clamped = [&](double v) {
-        const double c = std::clamp(v, static_cast<double>(lo),
-                                    static_cast<double>(hi));
-        cand.push_back(static_cast<SiteCoord>(std::floor(c)));
-        cand.push_back(static_cast<SiteCoord>(std::ceil(c)));
-    };
-    for (const SiteCoord v : a) {
-        push_clamped(static_cast<double>(v));
-    }
-    for (const SiteCoord v : b) {
-        push_clamped(static_cast<double>(v));
-    }
-    push_clamped(hinges.pref);
-    std::sort(cand.begin(), cand.end());
-    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-
+    std::size_t fa = 0;  // next clamped a to merge
+    std::size_t fb = 0;  // next clamped b to merge
+    std::size_t ff = 0;  // next fixed candidate to merge
+    std::size_t ia = 0;  // first a_i > x
+    std::size_t ib = 0;  // first b_j >= x
+    double b_prefix = 0.0;  // sum of b_j < x
     SiteCoord best_x = lo;
     double best_cost = std::numeric_limits<double>::max();
-    for (const SiteCoord x : cand) {
-        if (x < lo || x > hi) {
-            continue;
+    while (ff < fixed.size()) {
+        SiteCoord x = fixed[ff];
+        if (fa < na) {
+            x = std::min(x, clamped(a[fa]));
         }
-        const double c = cost_at(x);
+        if (fb < nb) {
+            x = std::min(x, clamped(b[fb]));
+        }
+        while (ff < fixed.size() && fixed[ff] == x) {
+            ++ff;
+        }
+        while (fa < na && clamped(a[fa]) == x) {
+            ++fa;
+        }
+        while (fb < nb && clamped(b[fb]) == x) {
+            ++fb;
+        }
+        while (ia < na && a[ia] <= x) {
+            ++ia;
+        }
+        while (ib < nb && b[ib] < x) {
+            b_prefix = b_prefix + static_cast<double>(b[ib]);
+            ++ib;
+        }
+        // sum over a_i > x of (a_i - x), and over b_j < x of (x - b_j)
+        const double ca = a_suffix[ia] - static_cast<double>(na - ia) *
+                                             static_cast<double>(x);
+        const double cb = static_cast<double>(ib) * static_cast<double>(x) -
+                          b_prefix;
+        const double c =
+            ca + cb + std::abs(static_cast<double>(x) - hinges.pref);
         const double d_pref = std::abs(static_cast<double>(x) - hinges.pref);
         const double best_d_pref =
             std::abs(static_cast<double>(best_x) - hinges.pref);
@@ -164,8 +164,10 @@ Evaluation evaluate_insertion_point_approx(const LocalProblem& lp,
     // moves only once, so per-row hinges would double-count its
     // displacement (and the estimate would stop being a lower bound on
     // the realized cost). ht is tiny; linear membership checks suffice.
-    std::vector<int> seen_left;
-    std::vector<int> seen_right;
+    std::vector<int>& seen_left = scratch.seen_left;
+    std::vector<int>& seen_right = scratch.seen_right;
+    seen_left.clear();
+    seen_right.clear();
     for (int j = 0; j < ht; ++j) {
         const int k = point.k0 + j;
         const LpRow& row = lp.row(k);
@@ -200,24 +202,48 @@ Evaluation evaluate_insertion_point_approx(const LocalProblem& lp,
 CriticalPositions compute_critical_positions(const LocalProblem& lp,
                                              const InsertionPoint& point,
                                              SiteCoord target_w) {
-    CriticalPositions cp;
-    compute_critical_positions(lp, point, target_w, cp);
-    return cp;
+    EvalScratch scratch;
+    compute_critical_positions(lp, point, target_w, scratch);
+    return std::move(scratch.cp);
 }
 
 void compute_critical_positions(const LocalProblem& lp,
                                 const InsertionPoint& point,
-                                SiteCoord target_w, CriticalPositions& cp) {
+                                SiteCoord target_w, EvalScratch& scratch) {
     const std::size_t n = static_cast<std::size_t>(lp.num_cells());
+    CriticalPositions& cp = scratch.cp;
     cp.xa.assign(n, kSiteCoordMin);
     cp.xb.assign(n, kSiteCoordMax);
+    std::vector<unsigned char>& pending = scratch.pending;
+    const int ht = static_cast<int>(point.gaps.size());
+
+    // Only cells the target can push get a finite threshold: those next to
+    // a gap, and the cells those push in turn. Each pass therefore starts
+    // from the gap's neighbours and marks a cell pending when one of its
+    // pushers gets a finite threshold; cells that never become pending keep
+    // their ±inf. A cell's pushers lie strictly right of it in the
+    // push-left pass (left of it in the push-right pass), so in by-x order
+    // every pending mark lands before the marked cell is visited.
 
     // Push-left thresholds: process cells right-to-left; a cell is pushed
     // left when its post-insertion right neighbour (or the target) forces
     // it:  xa_k = x_k + w_k + max over pushers r of (xa_r - x_r),
     // with the target contributing 0.
+    pending.assign(n, 0);
+    scratch.pushed_left.clear();
+    for (int j = 0; j < ht; ++j) {
+        const int gap = point.gaps[static_cast<std::size_t>(j)];
+        if (gap > 0) {
+            pending[static_cast<std::size_t>(
+                lp.row(point.k0 + j).cells[static_cast<std::size_t>(
+                    gap - 1)])] = 1;
+        }
+    }
     for (auto it = lp.by_x().rbegin(); it != lp.by_x().rend(); ++it) {
         const int ci = *it;
+        if (pending[static_cast<std::size_t>(ci)] == 0) {
+            continue;
+        }
         const LpCell& c = lp.cell(ci);
         SiteCoord best = kSiteCoordMin;
         bool any = false;
@@ -237,12 +263,32 @@ void compute_critical_positions(const LocalProblem& lp,
         }
         if (any) {
             cp.xa[static_cast<std::size_t>(ci)] = c.x + c.w + best;
+            scratch.pushed_left.push_back(ci);
+            for (SiteCoord j = 0; j < c.h; ++j) {
+                const int nb = left_neighbor(lp, point, ci, c.k0 + j);
+                if (nb >= 0) {
+                    pending[static_cast<std::size_t>(nb)] = 1;
+                }
+            }
         }
     }
 
     // Push-right thresholds, mirrored:  xb_k = x_k + min over pushers l of
     // (xb_l - x_l - w_l), target contributing -target_w.
+    pending.assign(n, 0);
+    scratch.pushed_right.clear();
+    for (int j = 0; j < ht; ++j) {
+        const LpRow& row = lp.row(point.k0 + j);
+        const int gap = point.gaps[static_cast<std::size_t>(j)];
+        if (gap < static_cast<int>(row.cells.size())) {
+            pending[static_cast<std::size_t>(
+                row.cells[static_cast<std::size_t>(gap)])] = 1;
+        }
+    }
     for (const int ci : lp.by_x()) {
+        if (pending[static_cast<std::size_t>(ci)] == 0) {
+            continue;
+        }
         const LpCell& c = lp.cell(ci);
         SiteCoord best = kSiteCoordMax;
         bool any = false;
@@ -263,6 +309,13 @@ void compute_critical_positions(const LocalProblem& lp,
         }
         if (any) {
             cp.xb[static_cast<std::size_t>(ci)] = c.x + best;
+            scratch.pushed_right.push_back(ci);
+            for (SiteCoord j = 0; j < c.h; ++j) {
+                const int nb = right_neighbor(lp, point, ci, c.k0 + j);
+                if (nb >= 0) {
+                    pending[static_cast<std::size_t>(nb)] = 1;
+                }
+            }
         }
     }
 }
@@ -282,23 +335,22 @@ Evaluation evaluate_insertion_point_exact(const LocalProblem& lp,
     if (point.lo > point.hi) {
         return ev;
     }
-    compute_critical_positions(lp, point, target.w, scratch.cp);
+    compute_critical_positions(lp, point, target.w, scratch);
     const CriticalPositions& cp = scratch.cp;
     HingeSet& hinges = scratch.hinges;
     hinges.a.clear();
     hinges.b.clear();
     hinges.pref = target.pref_x;
-    for (std::size_t i = 0; i < cp.xa.size(); ++i) {
-        const bool has_a = cp.xa[i] != kSiteCoordMin;
-        const bool has_b = cp.xb[i] != kSiteCoordMax;
-        MRLG_ASSERT(!(has_a && has_b),
+    // The hinge minimizer sorts a and b, so collecting them in pass order
+    // rather than cell order leaves its result unchanged.
+    for (const int ci : scratch.pushed_left) {
+        hinges.a.push_back(cp.xa[static_cast<std::size_t>(ci)]);
+    }
+    for (const int ci : scratch.pushed_right) {
+        MRLG_ASSERT(cp.xa[static_cast<std::size_t>(ci)] == kSiteCoordMin,
                     "cell reachable from both push directions — "
                     "inconsistent insertion point");
-        if (has_a) {
-            hinges.a.push_back(cp.xa[i]);
-        } else if (has_b) {
-            hinges.b.push_back(cp.xb[i]);
-        }
+        hinges.b.push_back(cp.xb[static_cast<std::size_t>(ci)]);
     }
     const auto [xt, cost_sites] =
         minimize_hinge_cost(hinges, point.lo, point.hi, scratch);

@@ -7,9 +7,15 @@
 /// optimal xt minimizes the sum of hinges plus the target's own |xt - x't|;
 /// the paper takes the median of the critical positions. We implement:
 ///   * evaluate_insertion_point_approx — the paper's default: critical
-///     positions of the <= 2·h_t immediate neighbours only, O(h_t);
+///     positions of the <= 2·h_t immediate neighbours only,
+///     O(h_t log h_t);
 ///   * evaluate_insertion_point_exact  — critical positions of every local
-///     cell via the push-chain recursion over the neighbour DAG, O(|C_W|).
+///     cell the target can push, via the push-chain recursion over the
+///     neighbour DAG. The recursion runs only on the P pushable cells
+///     (O(sum of their heights)); two by-x flag scans and the buffer
+///     resets touch all |C_W| cells at a few instructions each; sorting
+///     the P thresholds is O(P log P) and the median sweep over them is
+///     linear. Unreachable cells keep ±inf thresholds and add no hinge.
 ///
 /// Concurrency contract: both evaluators are pure functions of the
 /// LocalProblem plus their scratch argument — no globals, no Database
@@ -59,17 +65,25 @@ struct CriticalPositions {
 struct EvalScratch {
     HingeSet hinges;
     CriticalPositions cp;
+    // compute_critical_positions internals: per-cell "threshold due" flags,
+    // and the cells each pass gave a finite threshold, in visit order.
+    std::vector<unsigned char> pending;
+    std::vector<int> pushed_left;
+    std::vector<int> pushed_right;
+    // evaluate_insertion_point_approx: neighbour cells already hinged
+    std::vector<int> seen_left;
+    std::vector<int> seen_right;
     // minimize_hinge_cost internals
     std::vector<SiteCoord> a_sorted;
     std::vector<SiteCoord> b_sorted;
-    std::vector<SiteCoord> cand;
     std::vector<double> a_suffix;
-    std::vector<double> b_prefix;
 };
 
 /// Minimizes the hinge cost over integer x in [lo, hi] (lo <= hi required).
 /// Returns (argmin, cost). Cost unit: sites. Ties break toward smaller
-/// |x - pref|, then smaller x — deterministic across platforms.
+/// |x - pref|, then smaller x — deterministic across platforms. Sorts a
+/// and b, then sweeps the clamped breakpoints in one merged ascending pass:
+/// O(n log n) for n = |a| + |b|.
 std::pair<SiteCoord, double> minimize_hinge_cost(const HingeSet& hinges,
                                                  SiteCoord lo, SiteCoord hi);
 std::pair<SiteCoord, double> minimize_hinge_cost(const HingeSet& hinges,
@@ -99,9 +113,9 @@ Evaluation evaluate_insertion_point_exact(const LocalProblem& lp,
 CriticalPositions compute_critical_positions(const LocalProblem& lp,
                                              const InsertionPoint& point,
                                              SiteCoord target_w);
-/// In-place variant reusing `cp`'s buffers.
+/// In-place variant: fills scratch.cp, reusing the scratch's buffers.
 void compute_critical_positions(const LocalProblem& lp,
                                 const InsertionPoint& point,
-                                SiteCoord target_w, CriticalPositions& cp);
+                                SiteCoord target_w, EvalScratch& scratch);
 
 }  // namespace mrlg

@@ -21,6 +21,8 @@ LocalProblem LocalProblem::build(const Database& db,
         (scratch != nullptr ? *scratch : local_scratch).index_of;
     index_of.clear();
     index_of.reserve(region.local_cells().size());
+    lp.cells_.reserve(region.local_cells().size());
+    int num_slots = 0;
     for (const CellId id : region.local_cells()) {
         const Cell& c = db.cell(id);
         const int idx = static_cast<int>(lp.cells_.size());
@@ -33,9 +35,11 @@ LocalProblem LocalProblem::build(const Database& db,
         lc.h = c.height();
         lc.k0 = region.row_index(c.y());
         MRLG_ASSERT(lc.k0 >= 0, "local cell outside region rows");
-        lc.pos_in_row.assign(static_cast<std::size_t>(lc.h), -1);
-        lp.cells_.push_back(std::move(lc));
+        lc.slot0 = num_slots;
+        num_slots += lc.h;
+        lp.cells_.push_back(lc);
     }
+    lp.slots_.assign(static_cast<std::size_t>(num_slots), LpSlot{});
 
     for (int k = 0; k < region.height(); ++k) {
         LpRow& row = lp.rows_[static_cast<std::size_t>(k)];
@@ -52,21 +56,25 @@ LocalProblem LocalProblem::build(const Database& db,
             MRLG_ASSERT(it != index_of.end(),
                         "row lists a cell missing from local set");
             const int ci = it->second;
-            LpCell& lc = lp.cells_[static_cast<std::size_t>(ci)];
+            const LpCell& lc = lp.cells_[static_cast<std::size_t>(ci)];
             const int j = k - lc.k0;
             MRLG_ASSERT(j >= 0 && j < lc.h, "cell listed on a row outside "
                                             "its footprint");
-            lc.pos_in_row[static_cast<std::size_t>(j)] =
-                static_cast<int>(row.cells.size());
+            LpSlot& s = lp.slots_[static_cast<std::size_t>(lc.slot0 + j)];
+            s.pos = static_cast<int>(row.cells.size());
+            if (!row.cells.empty()) {
+                const int left = row.cells.back();
+                s.left = left;
+                const LpCell& lcl = lp.cells_[static_cast<std::size_t>(left)];
+                lp.slots_[static_cast<std::size_t>(lcl.slot0 + k - lcl.k0)]
+                    .right = ci;
+            }
             row.cells.push_back(ci);
         }
     }
 
-    for (const LpCell& c : lp.cells_) {
-        for (const int pos : c.pos_in_row) {
-            MRLG_ASSERT(pos >= 0, "local cell missing from a row list");
-        }
-        static_cast<void>(c);
+    for (const LpSlot& s : lp.slots_) {
+        MRLG_ASSERT(s.pos >= 0, "local cell missing from a row list");
     }
 
     lp.by_x_.resize(lp.cells_.size());

@@ -36,8 +36,17 @@ struct LpCell {
     SiteCoord xl = 0;  ///< Leftmost feasible x (filled by compute_minmax).
     SiteCoord xr = 0;  ///< Rightmost feasible x (filled by compute_minmax).
     int k0 = 0;        ///< Local row index of the bottom row.
-    /// pos_in_row[j] = index of this cell in row (k0+j)'s cell list.
-    std::vector<int> pos_in_row;
+    /// First of the cell's h entries in LocalProblem::slots(); entry j is
+    /// the cell on local row k0 + j.
+    int slot0 = 0;
+};
+
+/// One (cell, row) pair: where the cell sits in the row's cell list and
+/// which cells flank it there.
+struct LpSlot {
+    int pos = -1;    ///< Index of the cell in the row's cell list.
+    int left = -1;   ///< Left neighbour's cell index, or -1 (segment wall).
+    int right = -1;  ///< Right neighbour's cell index, or -1 (segment wall).
 };
 
 /// A local row: its span and the local cells crossing it, in x order.
@@ -70,6 +79,14 @@ public:
     }
     int num_cells() const { return static_cast<int>(cells_.size()); }
 
+    /// Cell `ci` on local row cell(ci).k0 + j, for 0 <= j < cell(ci).h.
+    const LpSlot& slot(int ci, int j) const {
+        return slots_[static_cast<std::size_t>(
+            cells_[static_cast<std::size_t>(ci)].slot0 + j)];
+    }
+    /// Every cell's slots, cell by cell (LpCell::slot0 indexes into it).
+    const std::vector<LpSlot>& slots() const { return slots_; }
+
     /// Cell indices sorted by current x ascending (ties by index). Shared
     /// by min/max placement and realization.
     const std::vector<int>& by_x() const { return by_x_; }
@@ -81,6 +98,7 @@ private:
     SiteCoord y0_ = 0;
     std::vector<LpRow> rows_;
     std::vector<LpCell> cells_;
+    std::vector<LpSlot> slots_;
     std::vector<int> by_x_;
     double site_w_um_ = 1.0;
     double site_h_um_ = 1.0;

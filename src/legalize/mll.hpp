@@ -29,10 +29,11 @@ struct MllOptions {
     SiteCoord rx = 30;  ///< Window half-width (paper: Rx = 30).
     SiteCoord ry = 5;   ///< Window half-height (paper: Ry = 5).
     bool check_rail = true;
-    /// Evaluate insertion points exactly (O(|C_W|) each) instead of the
-    /// paper's O(h_t) neighbour approximation. With exact evaluation the
-    /// chosen solution is optimal for the local subproblem — this is the
-    /// "ILP" configuration of Table 1 (see DESIGN.md substitution notes).
+    /// Evaluate insertion points exactly (push chains over every cell the
+    /// target can push) instead of the paper's O(h_t) neighbour
+    /// approximation. With exact evaluation the chosen solution is optimal
+    /// for the local subproblem — this is the "ILP" configuration of
+    /// Table 1 (see DESIGN.md substitution notes).
     bool exact_evaluation = false;
     /// Solve each local problem with the actual MIP formulation (our
     /// simplex + branch & bound, the lpsolve stand-in) instead of

@@ -34,12 +34,12 @@ Realization realize_insertion(const LocalProblem& lp,
         SiteCoord x = R[static_cast<std::size_t>(ci)];
         for (SiteCoord j = 0; j < c.h; ++j) {
             const int k = c.k0 + j;
-            const int pos = c.pos_in_row[static_cast<std::size_t>(j)];
+            const LpSlot& s = lp.slot(ci, j);
             if (is_comb_row(point, k) &&
-                pos == point.gaps[static_cast<std::size_t>(k - point.k0)]) {
+                s.pos == point.gaps[static_cast<std::size_t>(k - point.k0)]) {
                 x = std::max<SiteCoord>(x, xt + target_w);
-            } else if (pos > 0) {
-                const int l = lp.row(k).cells[static_cast<std::size_t>(pos - 1)];
+            } else if (s.left >= 0) {
+                const int l = s.left;
                 const LpCell& lc = lp.cell(l);
                 x = std::max<SiteCoord>(
                     x, R[static_cast<std::size_t>(l)] + lc.w);
@@ -59,14 +59,13 @@ Realization realize_insertion(const LocalProblem& lp,
         SiteCoord x = L[static_cast<std::size_t>(ci)];
         for (SiteCoord j = 0; j < c.h; ++j) {
             const int k = c.k0 + j;
-            const int pos = c.pos_in_row[static_cast<std::size_t>(j)];
-            const auto& row_cells = lp.row(k).cells;
+            const LpSlot& s = lp.slot(ci, j);
             if (is_comb_row(point, k) &&
-                pos + 1 ==
+                s.pos + 1 ==
                     point.gaps[static_cast<std::size_t>(k - point.k0)]) {
                 x = std::min<SiteCoord>(x, xt - c.w);
-            } else if (pos + 1 < static_cast<int>(row_cells.size())) {
-                const int rr = row_cells[static_cast<std::size_t>(pos + 1)];
+            } else if (s.right >= 0) {
+                const int rr = s.right;
                 x = std::min<SiteCoord>(
                     x, L[static_cast<std::size_t>(rr)] - c.w);
             }

@@ -43,6 +43,24 @@ COUNT_CHECKS = {
     "bad_plan_nested_fanout.cpp": ("nested-fanout", 1),
 }
 
+# Findings must name the offending line itself: fixture -> (rule, text that
+# first appears on that line).
+LINE_CHECKS = {
+    "bad_plan_nested_fanout.cpp": ("nested-fanout", "return parallel_reduce("),
+    "bad_const_cast.cpp": ("const-cast", "const_cast<"),
+    "bad_global_write.cpp": ("global-state", "static int"),
+    "bad_plan_calls_commit.cpp": ("plan-mutation", "mll_commit(db"),
+}
+
+
+def line_of(path, text):
+    """1-based line of the first occurrence of `text` in the file."""
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f, start=1):
+            if text in line:
+                return n
+    raise ValueError(f"{text!r} not in {path}")
+
 
 def run_analyzer(paths, extra=()):
     cmd = (
@@ -80,6 +98,14 @@ def main():
                 f"{name}: witness chain '{chain}' missing\n"
                 f"--- output ---\n{out}"
             )
+        if name in LINE_CHECKS:
+            rule, text = LINE_CHECKS[name]
+            where = f"{name}:{line_of(path, text)}: {rule}: "
+            if where not in out:
+                failures.append(
+                    f"{name}: expected the '{rule}' finding at "
+                    f"'{where.strip()}'\n--- output ---\n{out}"
+                )
         if name in COUNT_CHECKS:
             rule, want = COUNT_CHECKS[name]
             got = out.count(f" {rule}: ")

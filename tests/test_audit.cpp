@@ -231,6 +231,42 @@ TEST(AuditLocal, CorruptedProblemCellIsCaught) {
     EXPECT_TRUE(r.has("lp-cell-geometry")) << r.to_string();
 }
 
+TEST(AuditLocal, CorruptedSlotRangeIsCaught) {
+    Fixture f = make_fixture();
+    LocalProblem lp =
+        make_local_problem(f.db, f.grid, Rect{0, 0, 40, 2});
+    ASSERT_GT(lp.num_cells(), 0);
+    lp.mutable_cells()[0].slot0 = static_cast<int>(lp.slots().size());
+    const AuditReport r = audit_local_problem(lp, false);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(r.has("lp-pos-size")) << r.to_string();
+    EXPECT_TRUE(r.has("lp-pos")) << r.to_string();
+}
+
+TEST(AuditLocal, SwappedSlotsAreCaught) {
+    // Two cells pointing at each other's slots: every slot stays in range,
+    // but position and neighbours no longer match the row lists.
+    Fixture f = make_fixture();
+    LocalProblem lp =
+        make_local_problem(f.db, f.grid, Rect{0, 0, 40, 2});
+    ASSERT_TRUE(audit_local_problem(lp, false).ok());
+    // The fixture's a and b are both one row tall.
+    int i = 0;
+    while (i < lp.num_cells() && lp.cell(i).h != 1) {
+        ++i;
+    }
+    int j = i + 1;
+    while (j < lp.num_cells() && lp.cell(j).h != 1) {
+        ++j;
+    }
+    ASSERT_LT(j, lp.num_cells());
+    std::swap(lp.mutable_cells()[static_cast<std::size_t>(i)].slot0,
+              lp.mutable_cells()[static_cast<std::size_t>(j)].slot0);
+    const AuditReport r = audit_local_problem(lp, false);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(r.has("lp-pos")) << r.to_string();
+}
+
 TEST(AuditLocal, MinmaxBoundViolationIsCaught) {
     Fixture f = make_fixture();
     LocalProblem lp =

@@ -150,6 +150,36 @@ TEST_F(BookshelfTest, NonFiniteNumbersThrow) {
     }
 }
 
+TEST_F(BookshelfTest, TrailingGarbageNumbersThrow) {
+    // std::stod and std::stol stop at the first character that is not part
+    // of a number; a token with anything after its number is rejected.
+    for (const char* bad : {"1.0abc", "12x", "3.5.1", "1e", "2,5"}) {
+        SCOPED_TRACE(bad);
+        Database db = small_design();
+        write_bookshelf(db, dir_.string(), "t", true);
+        std::ofstream(path("t.pl"), std::ios::app)
+            << "a " << bad << " 2.405 : N\n";
+        EXPECT_THROW(read_bookshelf(path("t.aux")), ParseError);
+
+        write_bookshelf(db, dir_.string(), "t", true);
+        std::ofstream(path("t.pl"), std::ios::app) << "b 1 " << bad << "\n";
+        EXPECT_THROW(read_bookshelf(path("t.aux")), ParseError);
+
+        write_bookshelf(db, dir_.string(), "t", true);
+        std::ofstream(path("t.nodes"), std::ios::app)
+            << "odd " << bad << " 1.71\n";
+        EXPECT_THROW(read_bookshelf(path("t.aux")), ParseError);
+
+        for (const char* key : {"Coordinate", "Height", "Sitewidth",
+                                "SubrowOrigin", "NumSites"}) {
+            SCOPED_TRACE(key);
+            write_bookshelf(db, dir_.string(), "t", true);
+            set_first_value(path("t.scl"), key, bad);
+            EXPECT_THROW(read_bookshelf(path("t.aux")), ParseError);
+        }
+    }
+}
+
 TEST_F(BookshelfTest, CommentsAndBlankLinesIgnored) {
     Database db = small_design();
     write_bookshelf(db, dir_.string(), "t", true);

@@ -324,6 +324,34 @@ END core
     }
 }
 
+TEST_F(LefDefTest, TrailingGarbageNumbersThrow) {
+    // std::stod stops at the first character that is not part of a number;
+    // a token with anything after its number is rejected.
+    const LefLibrary lef = read_lef(write("a.lef", kLef));
+    for (const char* bad : {"1.0abc", "12x", "3.5.1", "1e", "2,5"}) {
+        SCOPED_TRACE(bad);
+        for (const std::string& coords :
+             {std::string(bad) + " 0", std::string("0 ") + bad}) {
+            const std::string def = write("junk.def", R"(
+DESIGN top ;
+UNITS DISTANCE MICRONS 1000 ;
+ROW r0 core 0 0 N DO 10 BY 1 STEP 200 0 ;
+COMPONENTS 1 ;
+- u1 INV + PLACED ( )" + coords + R"( ) N ;
+END COMPONENTS
+END DESIGN
+)");
+            EXPECT_THROW(read_def(def, lef), LefDefError);
+        }
+        const std::string lef_text = std::string(R"(
+SITE core
+  SIZE 0.2 BY )") + bad + R"( ;
+END core
+)";
+        EXPECT_THROW(read_lef(write("junk.lef", lef_text)), LefDefError);
+    }
+}
+
 TEST_F(LefDefTest, MisalignedMacroThrows) {
     const std::string lef_text = R"(
 SITE core

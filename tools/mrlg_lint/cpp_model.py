@@ -173,7 +173,6 @@ def parse_file(sf):
     i = 0
     n = len(text)
     line = 1
-    head_line = 1
     func_depth = None  # brace depth inside an active function body
     func_start = None
     func_info = None
@@ -196,11 +195,10 @@ def parse_file(sf):
                 func_depth = depth
                 func_start = i
                 name, params, full_head = info
-                func_info = (name, params, full_head, head_line)
+                func_info = (name, params, full_head, line)
             else:
                 stack.append((kind, info if isinstance(info, str) else "", depth))
             head_start = i + 1
-            head_line = line
             i += 1
             continue
         if ch == "}":
@@ -243,12 +241,10 @@ def parse_file(sf):
                 while stack and stack[-1][2] > depth:
                     stack.pop()
             head_start = i + 1
-            head_line = line
             i += 1
             continue
         if ch == ";" and func_depth is None:
             head_start = i + 1
-            head_line = line
             i += 1
             continue
         if ch == "#" and func_depth is None:
