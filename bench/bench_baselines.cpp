@@ -5,7 +5,7 @@
 ///  (2) Abacus [3] on a single-row-height design (its home turf) vs MLL,
 ///      and its rejection of multi-row designs.
 ///
-/// Flags: --cells N (default 4000)
+/// Flags: --cells N at most 2000000 (default 4000)
 
 #include <iostream>
 
@@ -40,7 +40,7 @@ GenProfile profile_for(double density, std::size_t cells, bool multi_row) {
 int main(int argc, char** argv) {
     Flags flags(argc, argv);
     std::size_t cells = 4000;
-    flags.count("--cells", cells);
+    flags.count("--cells", cells, GenProfile::kMaxCells);
     if (!flags.ok()) {
         return flags.usage("usage: bench_baselines [--cells N]\n");
     }

@@ -4,7 +4,8 @@
 /// the legalization cost of the fence walls (members can only shuffle
 /// within their region, so local slack shrinks).
 ///
-/// Flags: --cells N (default 4000), --density F in (0, 0.96)
+/// Flags: --cells N at most 2000000 (default 4000), --density F in
+/// (0, 0.96)
 /// (default 0.6)
 
 #include <iostream>
@@ -21,7 +22,7 @@ using namespace mrlg::bench;
 int main(int argc, char** argv) {
     Flags flags(argc, argv);
     std::size_t cells = 4000;
-    flags.count("--cells", cells);
+    flags.count("--cells", cells, GenProfile::kMaxCells);
     double density = 0.6;
     flags.real("--density", density, 0.0, GenProfile::kMaxDensity,
                Flags::Upper::kOpen);

@@ -14,7 +14,10 @@
 /// series AND to the other series (the pipeline's serial-equivalence
 /// contract), then emitted into a machine-readable JSON trajectory
 /// together with the real machine configuration — speedup numbers are
-/// meaningless without the hardware_threads that produced them.
+/// meaningless without the hardware_threads that produced them. This is
+/// the one thread-sweep harness: with --trace, each run entry also
+/// carries its `schedule` block (pool utilization, straggler share,
+/// commit-serialization share and critical path; obs/timeline.hpp).
 ///
 /// Flags:
 ///   --json PATH    output file (default BENCH_parallel.json)
@@ -23,8 +26,9 @@
 ///   --seed N       generator seed offset (default 0)
 ///   --approx-only / --exact-only   restrict the evaluation modes
 ///   --large-only   run only the largest design
-///   --trace PATH   install a wall-clock timeline and write the last
-///                  run's Chrome trace-event / Perfetto JSON to PATH
+///   --trace PATH   install a fresh wall-clock timeline per run, add its
+///                  `schedule` block to the run's entry, and write the
+///                  last run's Chrome trace-event / Perfetto JSON to PATH
 ///                  (off by default so the no-timeline overhead claim
 ///                  stays measurable here)
 
@@ -34,6 +38,7 @@
 #include "bench_common.hpp"
 #include "eval/metrics.hpp"
 #include "io/profiles.hpp"
+#include "obs/run_report.hpp"
 #include "obs/timeline.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
@@ -74,6 +79,17 @@ int main(int argc, char** argv) {
     int seed_offset = 0;
     flags.count("--seed", seed_offset);
     const char* trace_path = flags.value("--trace");
+    std::vector<std::string> designs = parallel_profile_names();
+    if (flags.has("--large-only")) {
+        designs = {designs.back()};
+    }
+    std::vector<bool> modes;  // true = exact evaluation
+    if (!flags.has("--exact-only")) {
+        modes.push_back(false);
+    }
+    if (!flags.has("--approx-only")) {
+        modes.push_back(true);
+    }
     if (!flags.ok()) {
         return flags.usage(
             "usage: bench_parallel [--json PATH] [--threads CSV] [--scale F]"
@@ -83,21 +99,10 @@ int main(int argc, char** argv) {
     }
     set_log_level(LogLevel::kWarn);
 
-    std::vector<std::string> designs = parallel_profile_names();
-    if (flags.has("--large-only")) {
-        designs = {designs.back()};
-    }
     // The timeline is installed ONLY with --trace: default bench runs
     // measure the true zero-observer cost of the instrumented hot paths.
     std::unique_ptr<obs::Timeline> timeline;
     std::unique_ptr<obs::ScopedTimeline> timeline_guard;
-    std::vector<bool> modes;  // true = exact evaluation
-    if (!flags.has("--exact-only")) {
-        modes.push_back(false);
-    }
-    if (!flags.has("--approx-only")) {
-        modes.push_back(true);
-    }
     const Series series[] = {
         {"serial", LegalizerOptions::Pipeline::kSerial},
         {"region_parallel", LegalizerOptions::Pipeline::kRegionParallel},
@@ -200,6 +205,12 @@ int main(int argc, char** argv) {
                     run.set("speedup_vs_serial", Json::num(speedup));
                     run.set("identical_to_serial",
                             Json::boolean(identical));
+                    if (timeline != nullptr) {
+                        run.set("schedule",
+                                obs::schedule_report_json(
+                                    obs::derive_schedule_report(*timeline,
+                                                                t)));
+                    }
                     runs.push(std::move(run));
                     if (!identical) {
                         std::cerr << "FATAL: run diverged from the serial "
@@ -218,14 +229,7 @@ int main(int argc, char** argv) {
     // has been instantiated and pool_workers_active reflects the helper
     // threads that really ran (not -1, and never a made-up count that
     // contradicts hardware_threads).
-    const ThreadPoolConfig tp = ThreadPool::config();
-    Json env = Json::object();
-    env.set("hardware_threads", Json::num(tp.hardware_threads));
-    env.set("default_threads", Json::num(tp.default_threads));
-    env.set("pool_workers", Json::num(tp.pool_workers));
-    env.set("pool_workers_active", Json::num(tp.pool_workers_active));
-    env.set("mrlg_threads_env", Json::boolean(tp.env_override));
-    root.set("environment", std::move(env));
+    root.set("environment", obs::environment_json());
 
     if (!write_json_file(json_path, root)) {
         return 1;

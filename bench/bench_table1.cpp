@@ -98,17 +98,9 @@ int main(int argc, char** argv) {
     int seed_offset = 0;
     flags.count("--seed", seed_offset);
     const char* only = flags.value("--only");
-    if (!flags.ok()) {
-        return flags.usage(
-            "usage: bench_table1 [--scale F] [--seed N] [--aligned-only |"
-            " --relaxed-only]\n"
-            "       [--only NAME] [--skip-ilp] [--true-ilp] [--csv]\n");
-    }
-    set_log_level(LogLevel::kWarn);
     const bool skip_ilp = flags.has("--skip-ilp");
     const bool csv = flags.has("--csv");
     const bool true_ilp = flags.has("--true-ilp");
-
     std::vector<bool> modes;  // true = power-line aligned
     if (!flags.has("--relaxed-only")) {
         modes.push_back(true);
@@ -116,6 +108,13 @@ int main(int argc, char** argv) {
     if (!flags.has("--aligned-only")) {
         modes.push_back(false);
     }
+    if (!flags.ok()) {
+        return flags.usage(
+            "usage: bench_table1 [--scale F] [--seed N] [--aligned-only |"
+            " --relaxed-only]\n"
+            "       [--only NAME] [--skip-ilp] [--true-ilp] [--csv]\n");
+    }
+    set_log_level(LogLevel::kWarn);
 
     for (const bool aligned : modes) {
         std::vector<RowResult> rows;

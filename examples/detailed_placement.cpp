@@ -5,7 +5,7 @@
 /// result in Bookshelf format.
 ///
 /// Usage: detailed_placement [cells] [density] [out_dir]
-///   cells    movable cells, a whole number (default 20000)
+///   cells    movable cells, a whole number up to 2000000 (default 20000)
 ///   density  target density in (0, 0.96) (default 0.6)
 /// Exit code: 0 when the result is legal, 1 when not, 2 on a malformed or
 /// out-of-range argument.
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     using namespace mrlg;
     Flags flags(argc, argv, {"cells", "density", "out_dir"});
     std::size_t cells = 20000;
-    flags.count("cells", cells);
+    flags.count("cells", cells, GenProfile::kMaxCells);
     double density = 0.6;
     flags.real("density", density, 0.0, GenProfile::kMaxDensity,
                Flags::Upper::kOpen);

@@ -17,7 +17,8 @@
 ///                    (mrlg_legalize --gen's 2200-cell default profile)
 ///     --lef L --def D  read an ISPD2015-style LEF/DEF pair instead
 /// Exit code: 0 on success, 1 on failure, 2 on usage or parse errors (a
-/// missing, malformed or out-of-range value is a usage error).
+/// missing, malformed or out-of-range value and an unknown flag are usage
+/// errors).
 
 #include <filesystem>
 #include <iostream>
@@ -55,6 +56,10 @@ int main(int argc, char** argv) {
     opts.mll.exact_evaluation = flags.has("--exact");
     const char* out = flags.value("--out");
     const char* svg = flags.value("--svg");
+    const bool detailed = flags.has("--dp");
+    const bool swap = flags.has("--swap");
+    const bool polish = flags.has("--polish");
+    const bool report = flags.has("--report");
 
     std::optional<LoadedDesign> loaded;
     if (!flags.has("--demo")) {
@@ -100,21 +105,21 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    if (flags.has("--dp")) {
+    if (detailed) {
         const DetailedPlacementStats d = detailed_place(db, grid);
         std::cout << "  detailed placement: " << d.moves_accepted << "/"
                   << d.moves_attempted << " moves, HPWL -"
                   << d.improvement_pct() << " % in " << d.runtime_s
                   << " s\n";
     }
-    if (flags.has("--swap")) {
+    if (swap) {
         const SwapStats ss = swap_pass(db, grid);
         std::cout << "  global swap: " << ss.swaps_accepted << "/"
                   << ss.swaps_attempted << " swaps, HPWL "
                   << ss.hpwl_before_um * 1e-6 << " m -> "
                   << ss.hpwl_after_um * 1e-6 << " m\n";
     }
-    if (flags.has("--polish")) {
+    if (polish) {
         const RowPolishStats rp = row_polish(db, grid);
         std::cout << "  row polish: " << rp.segments_accepted
                   << " segments improved, HPWL -" << rp.improvement_pct()
@@ -122,7 +127,7 @@ int main(int argc, char** argv) {
                   << " segments untouchable due to multi-row cells)\n";
     }
 
-    if (flags.has("--report")) {
+    if (report) {
         print_quality_report(
             make_quality_report(db, grid, opts.mll.check_rail), std::cout);
     }

@@ -38,6 +38,14 @@ GenResult generate_benchmark(const GenProfile& p) {
     Rng rng(p.seed);
 
     // ---- cells -----------------------------------------------------------
+    for (const std::size_t n :
+         {p.num_single, p.num_double, p.num_triple, p.num_quad}) {
+        MRLG_ASSERT(n <= GenProfile::kMaxCells,
+                    "cell count above GenProfile::kMaxCells");
+    }
+    MRLG_ASSERT(p.num_single + p.num_double + p.num_triple + p.num_quad <=
+                    GenProfile::kMaxCells,
+                "total cell count above GenProfile::kMaxCells");
     std::vector<Cell> protos;
     protos.reserve(p.num_single + p.num_double);
     std::int64_t cell_area = 0;

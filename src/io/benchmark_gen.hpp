@@ -29,6 +29,10 @@ struct GenProfile {
     /// even-height (parity-constrained like doubles).
     std::size_t num_triple = 0;
     std::size_t num_quad = 0;
+    /// Inclusive upper bound on each cell count and on their sum: above
+    /// superblue12's 1.29M cells, the largest Table-1 design, and far below
+    /// where the counts' sum could wrap.
+    static constexpr std::size_t kMaxCells = 2'000'000;
     /// Exclusive upper bound on `density`: denser designs may not pack.
     static constexpr double kMaxDensity = 0.96;
     /// Movable area / free site area, in (0, kMaxDensity).

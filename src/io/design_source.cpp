@@ -49,8 +49,11 @@ std::optional<LoadedDesign> load_or_generate(Flags& flags,
         return load_design(flags);
     }
     GenProfile p = cli_gen_profile(std::move(gen_name));
-    flags.count("--singles", p.num_single);
-    flags.count("--doubles", p.num_double);
+    flags.count("--singles", p.num_single, GenProfile::kMaxCells);
+    flags.count("--doubles", p.num_double, GenProfile::kMaxCells);
+    if (p.num_single + p.num_double > GenProfile::kMaxCells) {
+        flags.fail("--singles + --doubles");
+    }
     flags.real("--density", p.density, 0.0, GenProfile::kMaxDensity,
                Flags::Upper::kOpen);
     flags.count(seed_key, p.seed);

@@ -31,14 +31,16 @@ struct LoadedDesign {
 /// names no design, records "<design.aux>" as bad in `flags`; when the
 /// files do not parse, prints "parse error: ..." to stderr. Either way
 /// returns std::nullopt — and also, reading nothing, when `flags` already
-/// holds a bad value.
+/// holds a bad value or an unknown flag (so the caller asks about all of
+/// its other flags first).
 std::optional<LoadedDesign> load_design(Flags& flags);
 
 /// With `--gen`, generates cli_gen_profile(gen_name) as adjusted by
-/// --singles, --doubles (whole numbers), --density (in
-/// (0, GenProfile::kMaxDensity)) and `seed_key` (the generator seed),
-/// recording a bad value in `flags` and generating nothing; without it,
-/// load_design(flags).
+/// --singles, --doubles (whole numbers summing to at most
+/// GenProfile::kMaxCells), --density (in (0, GenProfile::kMaxDensity)) and
+/// `seed_key` (the generator seed), recording a bad value in `flags` and
+/// generating nothing; without it, load_design(flags). Either way an
+/// unknown flag, too, means nothing is read or generated.
 std::optional<LoadedDesign> load_or_generate(Flags& flags,
                                              std::string gen_name,
                                              std::string_view seed_key);

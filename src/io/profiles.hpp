@@ -36,9 +36,9 @@ inline constexpr double kMaxScale = 1.0;
 /// 400 single / 40 double cells so small scales stay meaningful.
 std::vector<Table1Entry> table1_benchmarks(double scale = 1.0);
 
-/// The synthetic thread-scaling design family shared by bench_parallel
-/// and tools/mrlg_profile: parallel_s (2.2k cells), parallel_m (8.8k),
-/// parallel_l (26.4k) at scale 1, generator seed 11 + `seed_offset`;
+/// The synthetic thread-scaling design family of bench_parallel:
+/// parallel_s (2.2k cells), parallel_m (8.8k), parallel_l (26.4k) at
+/// scale 1, generator seed 11 + `seed_offset`;
 /// `scale` must be in (0, kMaxScale]. Returns false when `name` is not one
 /// of the family (out is untouched).
 bool parallel_profile(const std::string& name, double scale,

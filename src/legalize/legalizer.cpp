@@ -253,14 +253,9 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
             const std::uint32_t wave_id =
                 static_cast<std::uint32_t>(stats.waves);
             obs::TimelineSpan wave_span(timeline, "wave", {wave_id, 0, 0});
-            std::span<const std::size_t> batch;
-            {
-                MRLG_OBS_PHASE("partition");
-                obs::TimelineSpan partition_span(timeline, "partition",
-                                                 {wave_id, 0, 0});
-                batch = std::span<const std::size_t>(order).subspan(
+            const std::span<const std::size_t> batch =
+                std::span<const std::size_t>(order).subspan(
                     offsets[w - 1], offsets[w] - offsets[w - 1]);
-            }
             // Tasks in later waves wait out this one.
             stats.conflict_requeues += tasks.size() - offsets[w];
             MRLG_OBS_OBSERVE("legalize.batch_size",

@@ -10,8 +10,8 @@
 ///      among earlier tasks whose conservative AttemptFootprints share a
 ///      bucket with its own (1 when none does) — the task's level in the
 ///      conflict DAG. A stable counting sort by wave (order_by_wave) then
-///      lists every wave's batch in queue order. The per-wave "partition"
-///      step only takes the next batch off that list.
+///      lists every wave's batch in queue order; each wave takes the next
+///      batch off that list.
 ///   2. plan — the batch's MLL problems are solved concurrently, read-only
 ///      against the wave-start grid (mll_plan, per-thread scratch).
 ///   3. commit — plans are applied serially in queue order (mll_commit).

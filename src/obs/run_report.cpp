@@ -155,14 +155,7 @@ Json make_run_report(const RunReportSpec& spec) {
         // Machine facts behind any wall-clock numbers in this report.
         // Omitted in deterministic mode for the same reason runtime_s is:
         // tick-clock reports must be byte-identical across machines.
-        const ThreadPoolConfig tp = ThreadPool::config();
-        Json env = Json::object();
-        env.set("hardware_threads", Json::num(tp.hardware_threads));
-        env.set("default_threads", Json::num(tp.default_threads));
-        env.set("pool_workers", Json::num(tp.pool_workers));
-        env.set("pool_workers_active", Json::num(tp.pool_workers_active));
-        env.set("mrlg_threads_env", Json::boolean(tp.env_override));
-        j.set("environment", std::move(env));
+        j.set("environment", environment_json());
 
         // Wall-clock-only schema-v2 blocks. Excluded from deterministic
         // reports so goldens stay byte-identical with a timeline
@@ -190,6 +183,17 @@ Json make_run_report(const RunReportSpec& spec) {
         j.set("metrics", tracer->to_json());
     }
     return j;
+}
+
+Json environment_json() {
+    const ThreadPoolConfig tp = ThreadPool::config();
+    Json env = Json::object();
+    env.set("hardware_threads", Json::num(tp.hardware_threads));
+    env.set("default_threads", Json::num(tp.default_threads));
+    env.set("pool_workers", Json::num(tp.pool_workers));
+    env.set("pool_workers_active", Json::num(tp.pool_workers_active));
+    env.set("mrlg_threads_env", Json::boolean(tp.env_override));
+    return env;
 }
 
 bool write_run_report(const std::string& path, const RunReportSpec& spec) {

@@ -59,6 +59,11 @@ inline constexpr int kRunReportSchemaVersion = 2;
 /// over `db`/`grid` when present (read-only).
 Json make_run_report(const RunReportSpec& spec);
 
+/// The `environment` block: the thread pool's configuration now
+/// (ThreadPool::config()). Read it after the runs it describes, so that
+/// `pool_workers_active` counts the helper threads that really ran.
+Json environment_json();
+
 /// Convenience: make_run_report + write_json_file.
 bool write_run_report(const std::string& path, const RunReportSpec& spec);
 

@@ -191,8 +191,6 @@ ScheduleReport derive_schedule_report(const Timeline& timeline, int threads) {
             ev.end_ns > ev.begin_ns ? ev.end_ns - ev.begin_ns : 0;
         if (std::strcmp(ev.name, "wave") == 0) {
             w.wall_ns += dur;
-        } else if (std::strcmp(ev.name, "partition") == 0) {
-            w.partition_ns += dur;
         } else if (std::strcmp(ev.name, "plan") == 0) {
             w.plan_ns += dur;
         } else if (std::strcmp(ev.name, "commit") == 0) {
@@ -209,7 +207,6 @@ ScheduleReport derive_schedule_report(const Timeline& timeline, int threads) {
     double straggler_ns = 0.0;
     for (const WaveSchedule& w : waves) {
         report.wave_wall_ns += w.wall_ns;
-        report.partition_ns += w.partition_ns;
         report.plan_ns += w.plan_ns;
         report.commit_ns += w.commit_ns;
         report.task_sum_ns += w.task_sum_ns;
@@ -242,8 +239,6 @@ ScheduleReport derive_schedule_report(const Timeline& timeline, int threads) {
         const double wall = static_cast<double>(report.wave_wall_ns);
         report.commit_serial_share = std::clamp(
             static_cast<double>(report.commit_ns) / wall, 0.0, 1.0);
-        report.partition_share = std::clamp(
-            static_cast<double>(report.partition_ns) / wall, 0.0, 1.0);
     }
     return report;
 }
@@ -256,7 +251,6 @@ Json schedule_report_json(const ScheduleReport& report) {
     j.set("waves_total", Json::num(report.waves_total));
     j.set("tasks_total", Json::num(report.tasks_total));
     j.set("wave_wall_ns", Json::num(report.wave_wall_ns));
-    j.set("partition_ns", Json::num(report.partition_ns));
     j.set("plan_ns", Json::num(report.plan_ns));
     j.set("commit_ns", Json::num(report.commit_ns));
     j.set("task_sum_ns", Json::num(report.task_sum_ns));
@@ -264,7 +258,6 @@ Json schedule_report_json(const ScheduleReport& report) {
     j.set("pool_utilization", Json::num(report.pool_utilization));
     j.set("straggler_share", Json::num(report.straggler_share));
     j.set("commit_serial_share", Json::num(report.commit_serial_share));
-    j.set("partition_share", Json::num(report.partition_share));
     j.set("task_us", histogram_json(report.task_us));
     j.set("wave_idle_pct", histogram_json(report.wave_idle_pct));
 
@@ -273,7 +266,6 @@ Json schedule_report_json(const ScheduleReport& report) {
         Json wj = Json::object();
         wj.set("wave", Json::num(static_cast<std::size_t>(w.wave)));
         wj.set("wall_ns", Json::num(w.wall_ns));
-        wj.set("partition_ns", Json::num(w.partition_ns));
         wj.set("plan_ns", Json::num(w.plan_ns));
         wj.set("commit_ns", Json::num(w.commit_ns));
         wj.set("task_sum_ns", Json::num(w.task_sum_ns));

@@ -21,7 +21,7 @@
 ///   * Timeline timestamps are wall-clock *by design* and never feed any
 ///     deterministic output. What IS deterministic is the merged event
 ///     *sequence*: events carry a stable `{wave, slot, task}` key assigned
-///     by the (deterministic) partition, and `merge()` orders by that key
+///     by the (deterministic) level schedule, and `merge()` orders by that key
 ///     — never by timestamp, lane, or registration order — so two runs
 ///     with arbitrarily different thread interleavings merge to the same
 ///     ordered sequence of (name, kind, key) tuples.
@@ -183,14 +183,13 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Derived scheduling metrics (the run report's `timeline` block and the
-// mrlg_profile bottleneck analysis).
+// Derived scheduling metrics (the run report's `timeline` block and
+// bench_parallel's per-run `schedule` entries under --trace).
 
 /// Per-wave schedule accounting, aggregated from the merged events.
 struct WaveSchedule {
     std::uint32_t wave = 0;
     std::uint64_t wall_ns = 0;       ///< "wave" span (orchestrator).
-    std::uint64_t partition_ns = 0;  ///< "partition" span.
     std::uint64_t plan_ns = 0;       ///< "plan" span (the fan-out window).
     std::uint64_t commit_ns = 0;     ///< "commit" span (serial applies).
     std::uint64_t task_sum_ns = 0;   ///< Σ "plan.task" durations.
@@ -214,7 +213,6 @@ struct ScheduleReport {
 
     // Aggregates over ALL waves (not just the detailed ones).
     std::uint64_t wave_wall_ns = 0;
-    std::uint64_t partition_ns = 0;
     std::uint64_t plan_ns = 0;
     std::uint64_t commit_ns = 0;
     std::uint64_t task_sum_ns = 0;
@@ -230,8 +228,6 @@ struct ScheduleReport {
     double straggler_share = 0.0;
     /// Σ commit / Σ wave wall: serial commit's share of pipeline time.
     double commit_serial_share = 0.0;
-    /// Σ partition / Σ wave wall: serial partition's share.
-    double partition_share = 0.0;
 
     Histogram task_us;        ///< Per-task plan durations (µs).
     Histogram wave_idle_pct;  ///< Per-wave pool idle percentage (0-100).

@@ -13,11 +13,13 @@ Flags::Flags(int argc, const char* const* argv,
     : args_(argv + std::min(argc, 1), argv + argc),
       positional_names_(std::move(positional_names)) {}
 
-bool Flags::has(std::string_view key) const {
+bool Flags::has(std::string_view key) {
+    asked_.emplace_back(key);
     return std::ranges::find(args_, key) != args_.end();
 }
 
 const char* Flags::value(std::string_view key) {
+    asked_.emplace_back(key);
     const auto name = std::ranges::find(positional_names_, key);
     if (name != positional_names_.end()) {
         return positional(
@@ -93,9 +95,22 @@ void Flags::fail(std::string_view key) {
     }
 }
 
+const char* Flags::unknown_flag() const {
+    for (const char* arg : args_) {
+        if (starts_with(arg, "--") &&
+            std::ranges::find(asked_, std::string_view(arg)) ==
+                asked_.end()) {
+            return arg;
+        }
+    }
+    return nullptr;
+}
+
 int Flags::usage(std::string_view text) const {
-    if (!ok()) {
+    if (!bad_key_.empty()) {
         std::cerr << "invalid or missing " << bad_key_ << "\n";
+    } else if (const char* flag = unknown_flag()) {
+        std::cerr << "unknown flag " << flag << "\n";
     }
     std::cerr << text;
     return 2;

@@ -5,8 +5,11 @@
 ///
 /// Readers validate as they read. Each leaves its output untouched when
 /// its argument is absent, and records the first bad key when a value is
-/// missing, malformed or out of range. A program reads all of its flags,
-/// then checks `ok()` once and answers a bad one with `usage(...)`.
+/// missing, malformed or out of range. Every key a program asks about
+/// (through `has`, `value` or a reader) is remembered, and an argument that
+/// starts with "--" but was never asked about is an unknown flag. A program
+/// asks about all of its flags, switches included, then checks `ok()` once
+/// and answers a bad or unknown one with `usage(...)`.
 
 #include <cstddef>
 #include <limits>
@@ -28,7 +31,7 @@ public:
           std::vector<std::string_view> positional_names = {});
 
     /// True when `key` appears anywhere on the command line.
-    bool has(std::string_view key) const;
+    bool has(std::string_view key);
 
     /// The argument after `key` (or the positional argument so named), or
     /// nullptr when absent. A `key` given last, with no value after it, is
@@ -60,12 +63,16 @@ public:
     /// Records `key` as bad unless an earlier key already is.
     void fail(std::string_view key);
 
-    bool ok() const { return bad_key_.empty(); }
-    /// The first bad key ("" when ok()).
+    /// False when a value is bad or a flag is unknown.
+    bool ok() const { return bad_key_.empty() && unknown_flag() == nullptr; }
+    /// The first bad key ("" when none is).
     const std::string& bad_key() const { return bad_key_; }
+    /// The first argument that starts with "--" and that nothing has asked
+    /// about yet, or nullptr.
+    const char* unknown_flag() const;
 
-    /// Prints the first bad key, if any, and `text` to stderr; returns 2,
-    /// the usage exit code.
+    /// Prints the first bad key or, failing that, the first unknown flag,
+    /// and `text` to stderr; returns 2, the usage exit code.
     int usage(std::string_view text) const;
 
 private:
@@ -73,6 +80,7 @@ private:
 
     std::vector<const char*> args_;  ///< argv without the program name.
     std::vector<std::string_view> positional_names_;
+    std::vector<std::string> asked_;  ///< Every key asked about.
     std::string bad_key_;
 };
 

@@ -210,6 +210,8 @@ TEST_F(LefDefTest, MissingFileThrows) {
 TEST_F(LefDefTest, LoadDesignReadsLefDef) {
     Flags flags = flags_of({"--lef", write("a.lef", kLef), "--def",
                             write("a.def", kDef), "--quiet"});
+    // A program asks about its own flags before loading.
+    EXPECT_TRUE(flags.has("--quiet"));
     std::optional<LoadedDesign> d = load_design(flags);
     ASSERT_TRUE(d.has_value());
     EXPECT_TRUE(flags.ok());
@@ -231,12 +233,20 @@ TEST_F(LefDefTest, LoadDesignReadsABookshelfRoundTrip) {
     const GenResult gen = generate_benchmark(p);
     write_bookshelf(gen.db, dir_.string(), "rt", /*use_gp_positions=*/true);
     Flags flags = flags_of({(dir_ / "rt.aux").string(), "--quiet"});
+    EXPECT_TRUE(flags.has("--quiet"));
     std::optional<LoadedDesign> d = load_design(flags);
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(d->name, "rt");
     EXPECT_FALSE(d->from_def);
     EXPECT_EQ(d->db.num_cells(), gen.db.num_cells());
     EXPECT_EQ(d->db.num_multi_row_cells(), gen.db.num_multi_row_cells());
+}
+
+TEST_F(LefDefTest, LoadDesignReadsNothingUnderAnUnknownFlag) {
+    Flags flags = flags_of({"--lef", write("a.lef", kLef), "--def",
+                            write("a.def", kDef), "--quiet"});
+    EXPECT_FALSE(load_design(flags).has_value());
+    EXPECT_STREQ(flags.unknown_flag(), "--quiet");
 }
 
 TEST_F(LefDefTest, LoadDesignReportsMissingFilesAsParseErrors) {

@@ -99,10 +99,9 @@ TEST(Timeline, ThreadsBeyondMaxLanesAreCountedAsDropped) {
 
 TEST(Timeline, ScheduleMetricsMatchTheirDefinitions) {
     Timeline tl;
-    // Wave 1: wall [0,1000]; partition 100ns, plan 700ns, commit 200ns.
-    // Two plan tasks of 300ns and 600ns.
+    // Wave 1: wall [0,1000]; plan 700ns from 100ns, commit 200ns. Two
+    // plan tasks of 300ns and 600ns.
     tl.span("wave", {1, 0, 0}, 0, 1000);
-    tl.span("partition", {1, 0, 0}, 0, 100);
     tl.span("plan", {1, 0, 0}, 100, 800);
     tl.span("plan.task", {1, 0, 3}, 100, 400);
     tl.span("plan.task", {1, 1, 5}, 100, 700);
@@ -124,7 +123,6 @@ TEST(Timeline, ScheduleMetricsMatchTheirDefinitions) {
     EXPECT_EQ(r.wave_wall_ns, 1500u);
     EXPECT_EQ(r.plan_ns, 1100u);
     EXPECT_EQ(r.commit_ns, 300u);
-    EXPECT_EQ(r.partition_ns, 100u);
     EXPECT_EQ(r.task_sum_ns, 1300u);
     EXPECT_EQ(r.critical_path_ns, 1000u);  // 600 + 400
     EXPECT_EQ(r.tasks_total, 3u);
@@ -134,7 +132,6 @@ TEST(Timeline, ScheduleMetricsMatchTheirDefinitions) {
     //           = ((600 − 450) + (400 − 200)) / 1100.
     EXPECT_NEAR(r.straggler_share, 350.0 / 1100.0, 1e-12);
     EXPECT_NEAR(r.commit_serial_share, 300.0 / 1500.0, 1e-12);
-    EXPECT_NEAR(r.partition_share, 100.0 / 1500.0, 1e-12);
     EXPECT_EQ(r.task_us.count, 3u);
     EXPECT_EQ(r.wave_idle_pct.count, 2u);
 }

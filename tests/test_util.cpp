@@ -261,6 +261,7 @@ TEST(Flags, AbsentKeyKeepsTheDefault) {
     int n = 7;
     double d = 0.5;
     std::vector<int> list = {1, 2};
+    EXPECT_TRUE(f.has("--quiet"));
     f.count("--seed", n);
     f.real("--scale", d, 0.0, 1.0, Flags::Upper::kClosed);
     f.int_list("--threads", list);
@@ -280,10 +281,10 @@ TEST(Flags, ReadsValuesAndSwitches) {
     f.count("--seed", seed);
     f.real("--scale", scale, 0.0, 1.0, Flags::Upper::kClosed);
     f.int_list("--threads", threads);
-    EXPECT_TRUE(f.ok());
     EXPECT_TRUE(f.has("--quiet"));
     EXPECT_FALSE(f.has("--gen"));
     EXPECT_STREQ(f.value("--out"), "dir");
+    EXPECT_TRUE(f.ok());
     EXPECT_EQ(seed, 12u);
     EXPECT_DOUBLE_EQ(scale, 1.0);
     EXPECT_EQ(threads, (std::vector<int>{1, 2, 4}));
@@ -317,7 +318,7 @@ TEST(Flags, OutOfRangeCountsAreBad) {
     int ry = 5;
     int threads = 0;
     f.count("--ry", ry, 40);
-    EXPECT_TRUE(f.ok());
+    EXPECT_EQ(f.bad_key(), "");  // --rx and --threads are not asked yet
     EXPECT_EQ(ry, 40);
     f.count("--rx", rx, 40);
     f.count("--threads", threads);  // above INT_MAX
@@ -393,6 +394,37 @@ TEST(Flags, UsageReturnsTheUsageExitCode) {
     const std::string err = testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("--mode"), std::string::npos);
     EXPECT_NE(err.find("usage: prog"), std::string::npos);
+}
+
+TEST(Flags, UnknownFlagsFail) {
+    Flags f = flags_of({"--seed", "3", "--bogus", "5", "--quiet"});
+    int seed = 0;
+    f.count("--seed", seed);
+    EXPECT_FALSE(f.has("--gen"));
+    EXPECT_TRUE(f.has("--quiet"));
+    // "5" is not a flag; "--bogus" was never asked about.
+    EXPECT_FALSE(f.ok());
+    EXPECT_EQ(f.bad_key(), "");
+    EXPECT_STREQ(f.unknown_flag(), "--bogus");
+    EXPECT_EQ(seed, 3);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(f.usage("usage: prog\n"), 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown flag --bogus"), std::string::npos);
+
+    // Asking about a key makes it known, whether or not it was read.
+    EXPECT_EQ(f.value("--bogus"), std::string_view("5"));
+    EXPECT_TRUE(f.ok());
+    EXPECT_EQ(f.unknown_flag(), nullptr);
+
+    // A bad value is reported before an unknown flag.
+    Flags g = flags_of({"--typo", "--seed", "x"});
+    g.count("--seed", seed);
+    EXPECT_EQ(g.bad_key(), "--seed");
+    testing::internal::CaptureStderr();
+    g.usage("");
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "invalid or missing --seed\n");
 }
 
 // ---------------- table ----------------

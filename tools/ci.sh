@@ -20,9 +20,9 @@
 #      MRLG_VALIDATE=full must report zero audit failures
 #   8. Differential fuzz smoke: mrlg_fuzz with fixed seeds (~10 s); all
 #      oracle batteries must agree. MRLG_FUZZ_ITERS scales it up.
-#   8b. Scheduling profile: mrlg_profile thread-sweep on the small
-#      parallel design; its bottleneck report must name a top limiter and
-#      its Perfetto trace must pass tools/validate_trace.py.
+#   8b. Scheduling profile: bench_parallel --trace thread sweep at a small
+#      scale; every run entry must carry a `schedule` block and the
+#      Perfetto trace must pass tools/validate_trace.py.
 #   8c. Benchmark self-test: mrlg_bench/self_test.py runs every
 #      BENCHMARK.json workload at a tiny scale, so a change to the phase
 #      tree or the stats the benchmark reads fails here, not on the next
@@ -188,15 +188,15 @@ run_stage "fuzz-smoke (differential oracles)" fuzz_smoke_stage
 
 # --------------------------------------------------------------- stage 8b
 profile_stage() {
-    # Thread-sweep scheduling profile of the region-parallel pipeline on
-    # the small design. Fails when legalization fails, when the
-    # bottleneck report cannot name a top limiter, or when the emitted
-    # Perfetto JSON stops matching the Chrome trace-event schema.
-    ./build/tools/mrlg_profile --design parallel_s --threads 1,2,4 \
-        --scale 0.5 --json build/profile_ci.json \
-        --trace build/profile_ci_trace.json &&
-        grep -q '"top_limiter"' build/profile_ci.json &&
-        python3 tools/validate_trace.py build/profile_ci_trace.json
+    # Thread sweep with a timeline installed. Fails when legalization
+    # fails or diverges between thread counts, when the run entries lose
+    # their `schedule` block, or when the emitted Perfetto JSON stops
+    # matching the Chrome trace-event schema.
+    ./build/bench/bench_parallel --scale 0.05 --threads 1,2,4 \
+        --json build/parallel_ci.json \
+        --trace build/parallel_ci_trace.json &&
+        grep -q '"schedule"' build/parallel_ci.json &&
+        python3 tools/validate_trace.py build/parallel_ci_trace.json
 }
 run_stage "scheduling profile + Perfetto trace validation" profile_stage
 

@@ -5,7 +5,7 @@
 /// database/segment-grid auditors at the requested level and prints the
 /// report. Exit code: 0 when every audit passes, 1 on violations, 2 on
 /// usage or parse errors; a missing, malformed or out-of-range value (a
-/// value flag given last included) is a usage error.
+/// value flag given last included) and an unknown flag are usage errors.
 ///
 /// Usage:
 ///   mrlg_audit <design.aux> [options]
@@ -14,7 +14,8 @@
 ///     --gen             audit a synthetic benchmark instead of a file
 ///                       (the same design as mrlg_legalize --gen)
 ///     --singles N       generator: single-row cells   (default 2000)
-///     --doubles N       generator: double-row cells   (default 200)
+///     --doubles N       generator: double-row cells   (default 200);
+///                       singles + doubles at most 2000000
 ///     --density D       generator: target density in (0, 0.96)
 ///                       (default 0.6)
 ///     --seed S          generator: rng seed           (default 1)
@@ -64,6 +65,8 @@ int main(int argc, char** argv) {
         level = AuditLevel::kFull;  // explicit CLI run: audit for real
     }
     const char* report_path = flags.value("--report");
+    const bool check_rail = !flags.has("--relaxed");
+    const bool legalize = flags.has("--legalize");
 
     std::optional<LoadedDesign> loaded =
         load_or_generate(flags, "audit-gen", "--seed");
@@ -76,8 +79,6 @@ int main(int argc, char** argv) {
     Database& db = loaded->db;
     const std::string& design = loaded->name;
 
-    const bool check_rail = !flags.has("--relaxed");
-
     // Trace the run so --report can serialize phases and audit counters.
     obs::Tracer tracer;
     obs::ScopedTracer install(tracer);
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
     LegalizerOptions opts;
     LegalizerStats stats;
     bool legalized = false;
-    if (flags.has("--legalize")) {
+    if (legalize) {
         opts.mll.check_rail = check_rail;
         opts.audit = level;
         try {

@@ -5,7 +5,7 @@
 /// design. Bit-reproducible: the same --seed yields the same report at
 /// any --threads value. Exit code: 0 when all oracles agree, 1 on a
 /// divergence, 2 on usage errors (including a missing, malformed or
-/// out-of-range value, or a value flag given last).
+/// out-of-range value, a value flag given last, or an unknown flag).
 ///
 /// Usage:
 ///   mrlg_fuzz [options]

@@ -4,8 +4,8 @@
 /// emit the machine-readable run report (docs/REPORT.md) that every mrlg
 /// reporting surface shares. Exit code: 0 on success (all cells placed,
 /// result legal), 1 on failure, 2 on usage or parse errors; a missing,
-/// malformed or out-of-range value (a value flag given last included) is
-/// a usage error.
+/// malformed or out-of-range value (a value flag given last included) and
+/// an unknown flag are usage errors.
 ///
 /// Usage:
 ///   mrlg_legalize <design.aux> [options]
@@ -14,7 +14,8 @@
 ///     --gen             legalize a synthetic benchmark (2200 cells by
 ///                       default; the same as mrlg_audit --gen)
 ///     --singles N       generator: single-row cells   (default 2000)
-///     --doubles N       generator: double-row cells   (default 200)
+///     --doubles N       generator: double-row cells   (default 200);
+///                       singles + doubles at most 2000000
 ///     --density D       generator: target density in (0, 0.96)
 ///                       (default 0.6)
 ///     --gen-seed S      generator: rng seed           (default 1)
@@ -71,6 +72,9 @@ int main(int argc, char** argv) {
     const char* report_path = flags.value("--report");
     const char* trace_path = flags.value("--trace");
     const char* out_dir = flags.value("--out");
+    const bool quiet = flags.has("--quiet");
+    const bool deterministic = flags.has("--deterministic");
+    const bool detailed = flags.has("--dp");
 
     std::optional<LoadedDesign> loaded =
         load_or_generate(flags, "legalize-gen", "--gen-seed");
@@ -83,13 +87,10 @@ int main(int argc, char** argv) {
     Database& db = loaded->db;
     const std::string& design = loaded->name;
 
-    const bool quiet = flags.has("--quiet");
-
     // One tracer for the whole run; --deterministic swaps in counted
     // ticks so the report is reproducible byte for byte.
     obs::TickClock tick_clock;
     obs::WallClock wall_clock;
-    const bool deterministic = flags.has("--deterministic");
     obs::Tracer tracer(deterministic
                            ? static_cast<obs::Clock*>(&tick_clock)
                            : static_cast<obs::Clock*>(&wall_clock));
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
     LegalizerStats stats;
     try {
         stats = legalize_placement(db, grid, opts);
-        if (flags.has("--dp")) {
+        if (detailed) {
             DetailedPlacementOptions dopts;
             dopts.mll = opts.mll;
             detailed_place(db, grid, dopts);
